@@ -8,6 +8,12 @@ takes the exact linear maximizer of d over F_t, and moves 1/K of the way
 toward it. The committed column is emitted before the next arrival is read,
 so the solver never peeks at future costs, sets, or gradient coordinates.
 
+While arrival t is open only coordinate t of each row moves, so row i's
+gradient coordinate is affine in x_{i,t}: g0 + slope * x_{i,t}. The
+objective's arrival oracle `arrival_grad` returns (g0, slope) from the
+committed prefix once per row and arrival; each micro-step is then O(n)
+scalar work plus one linear maximization over F_t.
+
 With the default overshoot policy the micro-step that would cross a budget
 boundary is scaled back to land exactly on it, which keeps every row load at
 or below its cap for any finite K.
@@ -45,6 +51,8 @@ class OnlineInstance:
             raise ValueError("need one feasible set per step")
         if len(self.objectives) != n:
             raise ValueError("need one objective per row")
+        if not np.all(np.isfinite(self.C)):
+            raise ValueError("costs must be finite")
         if np.any(self.C < 0):
             raise ValueError("costs must be non-negative")
         for s in self.sets:
@@ -120,22 +128,15 @@ def direction(instance: OnlineInstance, penalties, omega, t: int,
     grad_t H_i(omega_i) + c_{i,t} G'_i(load_i).
     """
     omega = np.asarray(omega, dtype=float)
-    c_t = instance.C[:, t]
     if loads is None:
         loads = row_loads(instance.C[:, : t + 1], omega[:, : t + 1])
-    d = np.empty(instance.n)
-    for i in range(instance.n):
-        g = prefix_grad_coord(instance.objectives[i], omega[i], t)
-        d[i] = g + c_t[i] * penalties[i].derivative(loads[i])
-    return d
+    g = [prefix_grad_coord(obj, omega[i], t) for i, obj in enumerate(instance.objectives)]
+    return _penalized(g, instance.C[:, t].tolist(), penalties, loads)
 
 
-def _cap_gamma(loads, caps, inc) -> float:
-    gamma = 1.0
-    for i in range(len(inc)):
-        if inc[i] > 0.0 and math.isfinite(caps[i]):
-            gamma = min(gamma, (caps[i] - loads[i]) / inc[i])
-    return max(0.0, gamma)
+def _penalized(g, c, penalties, loads) -> np.ndarray:
+    """Direction entries g_i + c_i G'_i(load_i) from gradient coordinates g."""
+    return np.array([g[i] + c[i] * penalties[i].derivative(loads[i]) for i in range(len(g))])
 
 
 def run_online(instance: OnlineInstance, penalties, cfg: EngineConfig,
@@ -150,36 +151,49 @@ def run_online(instance: OnlineInstance, penalties, cfg: EngineConfig,
     if len(penalties) != n:
         raise ValueError("need one penalty per row")
     K = cfg.K
+    capped = cfg.overshoot_policy == "cap_final_microstep"
     omega = np.zeros((n, m))
-    loads = np.zeros(n)
-    caps = np.array([p.load_cap for p in penalties])
-    ratio_min = np.full(n, np.inf)
-    ratio_max = np.full(n, -np.inf)
+    loads = [0.0] * n
+    caps = [p.load_cap for p in penalties]
+    ratio_min = [math.inf] * n
+    ratio_max = [-math.inf] * n
     inner = [] if cfg.record_inner else None
+    rows = range(n)
 
     for t, c_t, F_t in instance.arrivals():
+        c = c_t.tolist()
+        oracle = [obj.arrival_grad(omega[i], t) for i, obj in enumerate(instance.objectives)]
+        x = [0.0] * n
         rec_v = np.empty((K, n)) if cfg.record_inner else None
         rec_d = np.empty((K, n)) if cfg.record_inner else None
         for k in range(K):
-            d = np.empty(n)
-            for i in range(n):
-                g = prefix_grad_coord(instance.objectives[i], omega[i], t)
-                if c_t[i] > 0.0:
-                    r = g / c_t[i]
+            g = [g0 + slope * x[i] for i, (g0, slope) in enumerate(oracle)]
+            for i in rows:
+                if c[i] > 0.0:
+                    r = g[i] / c[i]
                     if r < ratio_min[i]:
                         ratio_min[i] = r
                     if r > ratio_max[i]:
                         ratio_max[i] = r
-                d[i] = g + c_t[i] * penalties[i].derivative(loads[i])
+            d = _penalized(g, c, penalties, loads)
             v = F_t.linear_argmax(d)
-            step = v / K
-            if cfg.overshoot_policy == "cap_final_microstep":
-                step = _cap_gamma(loads, caps, c_t * step) * step
-            omega[:, t] += step
-            loads += c_t * step
+            step = [vi / K for vi in v.tolist()]
+            if capped:
+                # scale the step back so that no finite cap is crossed
+                gamma = 1.0
+                for i in rows:
+                    inc = c[i] * step[i]
+                    if inc > 0.0 and math.isfinite(caps[i]):
+                        gamma = min(gamma, (caps[i] - loads[i]) / inc)
+                gamma = max(0.0, gamma)
+                step = [gamma * s for s in step]
+            for i in rows:
+                x[i] += step[i]
+                loads[i] += c[i] * step[i]
             if cfg.record_inner:
                 rec_d[k] = d
                 rec_v[k] = v
+        omega[:, t] = x
         if cfg.record_inner:
             inner.append({"v": rec_v, "d": rec_d})
         if on_step is not None:
@@ -200,8 +214,8 @@ def run_online(instance: OnlineInstance, penalties, cfg: EngineConfig,
         dual=DualPoint(Y, z),
         config=cfg,
         penalties=list(penalties),
-        ratio_min=ratio_min,
-        ratio_max=ratio_max,
+        ratio_min=np.array(ratio_min),
+        ratio_max=np.array(ratio_max),
         inner=inner,
     )
 
@@ -229,7 +243,9 @@ def evaluate_trace(instance: OnlineInstance, penalties,
     tol = trace.config.budget_tol
     violations = []
     for i, p in enumerate(penalties):
-        if loads[i] > p.load_cap + tol:
+        if not math.isfinite(loads[i]):
+            violations.append(f"row {i} load {loads[i]} is not finite")
+        elif loads[i] > p.load_cap + tol:
             violations.append(f"row {i} load {loads[i]:.12g} exceeds cap {p.load_cap}")
     for t, s in enumerate(instance.sets):
         if not s.contains(X[:, t], tol):

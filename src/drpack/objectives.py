@@ -6,6 +6,13 @@ submodular set functions, and linear objectives. All objectives vanish at the
 origin, have non-negative anti-tone gradients on their domain, and expose
 exact values/gradients (the multilinear extension is evaluated by full subset
 enumeration, so everything is deterministic to machine precision).
+
+Each objective also has the arrival oracle used by the online solver,
+`arrival_grad(prefix_row, t) -> (g0, slope)`. While arrival t is open only
+coordinate t moves, so gradient coordinate t at the committed prefix plus
+x_t in position t equals g0 + slope * x_t. The result depends only on
+prefix_row[:t]: slope is H[t, t] for a quadratic and 0 for linear and
+multilinear objectives (the multilinear coordinate t does not depend on x_t).
 """
 
 import math
@@ -154,7 +161,7 @@ class QuadraticObjective:
 
     kind = "quadratic"
 
-    def __init__(self, H, h, c0: float = 0.0, smoothness: float | None = None):
+    def __init__(self, H, h, c0: float = 0.0):
         H = np.asarray(H, dtype=float)
         h = np.asarray(h, dtype=float)
         if H.ndim != 2 or H.shape[0] != H.shape[1]:
@@ -167,7 +174,6 @@ class QuadraticObjective:
         self.h = h
         self.c0 = float(c0)
         self.m = H.shape[0]
-        self.smoothness = smoothness
 
     def _check(self, x):
         x = _as_vector(x, self.m)
@@ -187,6 +193,10 @@ class QuadraticObjective:
         x = self._check(x)
         return float(self.H[t] @ x + self.h[t])
 
+    def arrival_grad(self, prefix_row, t: int) -> tuple[float, float]:
+        x = self._check(prefix_row)
+        return float(self.H[t, :t] @ x[:t] + self.h[t]), float(self.H[t, t])
+
     def hessian(self, x=None) -> np.ndarray:
         return self.H.copy()
 
@@ -204,13 +214,12 @@ class LinearObjective:
 
     kind = "linear"
 
-    def __init__(self, d, smoothness: float | None = 0.0):
+    def __init__(self, d):
         d = np.asarray(d, dtype=float)
         if np.any(d < 0):
             raise ValueError("linear objective needs non-negative coefficients")
         self.d = d
         self.m = len(d)
-        self.smoothness = smoothness
 
     def value(self, x) -> float:
         return float(self.d @ _as_vector(x, self.m))
@@ -222,6 +231,10 @@ class LinearObjective:
     def grad_coord(self, x, t: int) -> float:
         _as_vector(x, self.m)
         return float(self.d[t])
+
+    def arrival_grad(self, prefix_row, t: int) -> tuple[float, float]:
+        _as_vector(prefix_row, self.m)
+        return float(self.d[t]), 0.0
 
     def hessian(self, x=None) -> np.ndarray:
         return np.zeros((self.m, self.m))
@@ -244,10 +257,9 @@ class MultilinearObjective:
 
     kind = "multilinear"
 
-    def __init__(self, table: SetFunctionTable, smoothness: float | None = None):
+    def __init__(self, table: SetFunctionTable):
         self.table = table
         self.m = table.v
-        self.smoothness = smoothness
 
     def _check(self, x):
         x = _as_vector(x, self.m)
@@ -270,6 +282,12 @@ class MultilinearObjective:
         hi[t] = 1.0
         lo[t] = 0.0
         return self._value_raw(hi) - self._value_raw(lo)
+
+    def arrival_grad(self, prefix_row, t: int) -> tuple[float, float]:
+        # grad_coord(x, t) does not read x_t, so the slope is 0
+        x = self._check(prefix_row)
+        x[t:] = 0.0
+        return self.grad_coord(x, t), 0.0
 
     def grad(self, x) -> np.ndarray:
         x = self._check(x)
@@ -326,13 +344,15 @@ def prefix_grad_coord(obj, omega, t: int) -> float:
 
     Encodes the online information restriction: only prefixes of the variable
     vector may be queried. Raises if omega has mass beyond position t.
+    Evaluated through the arrival oracle as g0 + slope * omega[t].
     """
     omega = _as_vector(omega, obj.m, "omega")
     if t < 0 or t >= obj.m:
         raise ValueError("coordinate out of range")
     if np.any(omega[t + 1:] != 0.0):
         raise ValueError("omega must be zero beyond the prefix coordinate")
-    return obj.grad_coord(omega, t)
+    g0, slope = obj.arrival_grad(omega, t)
+    return g0 + slope * float(omega[t])
 
 
 @dataclass

@@ -2,13 +2,18 @@
 
 Everything here is deliberately written from scratch against the definitions
 (recursive conditioning, corner enumeration, finite differences, pure grid
-scans) so that it shares no code path with the library being tested.
+scans) so that it shares no code path with the library being tested. The one
+exception is `reference_run_online`, the engine's earlier micro-step loop,
+which re-evaluates every gradient coordinate with `grad_coord` at each
+micro-step; the arrival-oracle engine is compared against it.
 """
 
 import itertools
 import math
 
 import numpy as np
+
+from drpack.engine import DualPoint, RunTrace, row_loads
 
 
 def multilinear_value_recursive(values, x):
@@ -94,3 +99,87 @@ def grid_max_on_box(func, box, points=21):
         if val > best:
             best, arg = val, u
     return best, arg
+
+
+# ------------------------------------------------ reference micro-step loop
+
+def prefix_grad_coord(obj, omega, t: int) -> float:
+    """Prefix-validated gradient coordinate, evaluated by grad_coord."""
+    omega = np.asarray(omega, dtype=float)
+    if omega.shape != (obj.m,):
+        raise ValueError("omega has the wrong shape")
+    if t < 0 or t >= obj.m:
+        raise ValueError("coordinate out of range")
+    if np.any(omega[t + 1:] != 0.0):
+        raise ValueError("omega must be zero beyond the prefix coordinate")
+    return obj.grad_coord(omega, t)
+
+
+def _cap_gamma(loads, caps, inc) -> float:
+    gamma = 1.0
+    for i in range(len(inc)):
+        if inc[i] > 0.0 and math.isfinite(caps[i]):
+            gamma = min(gamma, (caps[i] - loads[i]) / inc[i])
+    return max(0.0, gamma)
+
+
+def reference_run_online(instance, penalties, cfg, on_step=None):
+    """The online solver as an n x K gradient-coordinate loop per arrival."""
+    n, m = instance.n, instance.m
+    if len(penalties) != n:
+        raise ValueError("need one penalty per row")
+    K = cfg.K
+    omega = np.zeros((n, m))
+    loads = np.zeros(n)
+    caps = np.array([p.load_cap for p in penalties])
+    ratio_min = np.full(n, np.inf)
+    ratio_max = np.full(n, -np.inf)
+    inner = [] if cfg.record_inner else None
+
+    for t, c_t, F_t in instance.arrivals():
+        rec_v = np.empty((K, n)) if cfg.record_inner else None
+        rec_d = np.empty((K, n)) if cfg.record_inner else None
+        for k in range(K):
+            d = np.empty(n)
+            for i in range(n):
+                g = prefix_grad_coord(instance.objectives[i], omega[i], t)
+                if c_t[i] > 0.0:
+                    r = g / c_t[i]
+                    if r < ratio_min[i]:
+                        ratio_min[i] = r
+                    if r > ratio_max[i]:
+                        ratio_max[i] = r
+                d[i] = g + c_t[i] * penalties[i].derivative(loads[i])
+            v = F_t.linear_argmax(d)
+            step = v / K
+            if cfg.overshoot_policy == "cap_final_microstep":
+                step = _cap_gamma(loads, caps, c_t * step) * step
+            omega[:, t] += step
+            loads += c_t * step
+            if cfg.record_inner:
+                rec_d[k] = d
+                rec_v[k] = v
+        if cfg.record_inner:
+            inner.append({"v": rec_v, "d": rec_d})
+        if on_step is not None:
+            on_step(t, omega[:, t].copy())
+
+    final_loads = row_loads(instance.C, omega)
+    alg = float(sum(obj.value(omega[i]) for i, obj in enumerate(instance.objectives)))
+    p_gseq = alg + float(
+        sum(p.value(final_loads[i]) for i, p in enumerate(penalties))
+    )
+    Y = np.stack([obj.grad(omega[i]) for i, obj in enumerate(instance.objectives)])
+    z = np.array([-p.derivative(final_loads[i]) for i, p in enumerate(penalties)])
+    return RunTrace(
+        allocations=omega,
+        loads=final_loads,
+        alg=alg,
+        p_gseq=p_gseq,
+        dual=DualPoint(Y, z),
+        config=cfg,
+        penalties=list(penalties),
+        ratio_min=ratio_min,
+        ratio_max=ratio_max,
+        inner=inner,
+    )

@@ -4,10 +4,11 @@ import pytest
 from drpack.engine import (EngineConfig, OnlineInstance, direction,
                            evaluate_trace, row_loads, run_online)
 from drpack.feasible import Box, Simplex
-from drpack.generators import GeneratorSpec, generate
+from drpack.generators import FAMILIES, GeneratorSpec, generate
 from drpack.harness import auto_penalties
 from drpack.objectives import LinearObjective, QuadraticObjective
 from drpack.penalties import PenaltyModel, ZeroPenalty
+from oracles import reference_run_online
 
 
 def scalar_instance():
@@ -103,6 +104,7 @@ def test_penalty_count_mismatch():
 
 def test_online_discipline_instrumented():
     committed = []
+    queried = []
 
     class GuardedInstance(OnlineInstance):
         def arrivals(self):
@@ -113,7 +115,14 @@ def test_online_discipline_instrumented():
     class GuardedObjective(LinearObjective):
         def grad_coord(self, x, t):
             assert t <= len(committed), "gradient coordinate beyond arrivals"
+            queried.append(t)
             return super().grad_coord(x, t)
+
+        def arrival_grad(self, prefix_row, t):
+            assert t <= len(committed), "gradient coordinate beyond arrivals"
+            assert not np.any(prefix_row[t:]), "oracle saw mass beyond the prefix"
+            queried.append(t)
+            return super().arrival_grad(prefix_row, t)
 
     inst = GuardedInstance(np.array([[0.5, 0.4, 0.3, 0.8]]),
                            [Box([1.0]) for _ in range(4)],
@@ -122,6 +131,41 @@ def test_online_discipline_instrumented():
     run_online(inst, pens, EngineConfig(K=7),
                on_step=lambda t, x: committed.append(t))
     assert committed == [0, 1, 2, 3]
+    assert sorted(set(queried)) == [0, 1, 2, 3], "a gradient guard was bypassed"
+
+
+def _assert_close(a, b, rtol=1e-12):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    assert a.shape == b.shape
+    finite = np.isfinite(a) & np.isfinite(b)
+    assert np.array_equal(a[~finite], b[~finite])
+    a, b = a[finite], b[finite]
+    assert np.all(np.abs(a - b) <= rtol * np.maximum(np.abs(a), np.abs(b)))
+
+
+@pytest.mark.parametrize("record_inner", [False, True])
+@pytest.mark.parametrize("policy", ["cap_final_microstep", "allow_raw"])
+@pytest.mark.parametrize("spec", [
+    *[GeneratorSpec(f, 1 if f == "knapsack_single" else 3, 8, seed=11) for f in FAMILIES],
+    GeneratorSpec("knapsack_single", 1, 8, seed=11, params={"objective": "multilinear"}),
+], ids=lambda s: s.family + "-" + s.params.get("objective", "default"))
+def test_engine_matches_reference_loop(spec, policy, record_inner):
+    inst = generate(spec)
+    pens = auto_penalties(inst)
+    cfg = EngineConfig(K=40, overshoot_policy=policy, record_inner=record_inner)
+    new, ref = run_online(inst, pens, cfg), reference_run_online(inst, pens, cfg)
+    assert np.array_equal(new.allocations, ref.allocations)
+    for a, b in [(new.loads, ref.loads), (new.alg, ref.alg), (new.p_gseq, ref.p_gseq),
+                 (new.ratio_min, ref.ratio_min), (new.ratio_max, ref.ratio_max),
+                 (new.dual.Y, ref.dual.Y), (new.dual.z, ref.dual.z)]:
+        _assert_close(a, b)
+    if record_inner:
+        assert len(new.inner) == len(ref.inner) == inst.m
+        for rn, rr in zip(new.inner, ref.inner):
+            assert np.array_equal(rn["v"], rr["v"])
+            _assert_close(rn["d"], rr["d"])
+    else:
+        assert new.inner is None and ref.inner is None
 
 
 def test_capped_loads_never_exceed_budget():
@@ -235,6 +279,16 @@ def test_evaluate_flags_infeasible_trace():
     assert any("row 0" in v for v in ev.violations)
 
 
+def test_evaluate_flags_non_finite_load():
+    inst = two_step_instance()
+    pens = [PenaltyModel("single_constraint", 2.0, 1.0)]
+    trace = run_online(inst, pens, EngineConfig(K=2))
+    trace.allocations = np.array([[np.nan, 0.0]])
+    ev = evaluate_trace(inst, pens, trace)
+    assert not ev.budget_ok
+    assert any("row 0" in v for v in ev.violations)
+
+
 def test_evaluate_shape_mismatch():
     inst = two_step_instance()
     pens = [PenaltyModel("single_constraint", 2.0, 1.0)]
@@ -269,6 +323,9 @@ def test_alg_improves_with_inner_iterations():
 def test_instance_validation():
     with pytest.raises(ValueError):
         OnlineInstance(np.array([[-1.0]]), [Box([1.0])], [LinearObjective([1.0])])
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            OnlineInstance(np.array([[bad]]), [Box([1.0])], [LinearObjective([1.0])])
     with pytest.raises(ValueError):
         OnlineInstance(np.array([[1.0]]), [Box([1.0, 1.0])], [LinearObjective([1.0])])
     with pytest.raises(ValueError):

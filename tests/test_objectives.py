@@ -144,6 +144,18 @@ def test_prefix_grad_consistency():
             obj.grad(omega)[0], abs=1e-12)
 
 
+def test_arrival_grad_is_affine_in_the_open_coordinate():
+    rng = np.random.default_rng(3)
+    for obj in zoo():
+        for t in range(obj.m):
+            x = np.zeros(obj.m)
+            x[:t + 1] = rng.uniform(0.0, 1.0, t + 1)
+            row = x.copy()
+            row[t:] = rng.uniform(0.0, 1.0, obj.m - t)  # the oracle must not read these
+            g0, slope = obj.arrival_grad(row, t)
+            assert g0 + slope * x[t] == pytest.approx(obj.grad(x)[t], abs=1e-12)
+
+
 def test_prefix_grad_coverage():
     F = MultilinearObjective(coverage_pair())
     assert prefix_grad_coord(F, np.array([0.5, 0.0]), 1) == pytest.approx(0.5)
