@@ -15,8 +15,7 @@ from .harness import (ExperimentResult, SeedRecord, auto_penalties,
 from .objectives import (CurvatureReport, DrCheckResult, LinearObjective,
                          MultilinearObjective, QuadraticObjective,
                          SetFunctionTable, check_dr, estimate_alpha,
-                         estimate_smoothness, prefix_grad_coord,
-                         total_curvature)
+                         estimate_smoothness, prefix_grad_coord)
 from .penalties import (BoundReport, PenaltyModel, ZeroPenalty, compute_UL,
                         theoretical_cr)
 
@@ -33,5 +32,5 @@ __all__ = [
     "dual_objective", "estimate_alpha", "estimate_smoothness",
     "evaluate_trace", "finite_k_slack", "generate", "offline_fw",
     "prefix_grad_coord", "reproduce_table1", "row_loads", "run_online",
-    "theoretical_cr", "total_curvature", "verify_bounds", "weak_duality_gap",
+    "theoretical_cr", "verify_bounds", "weak_duality_gap",
 ]

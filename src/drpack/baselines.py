@@ -11,7 +11,7 @@ on tiny instances.
 
 import numpy as np
 
-from .engine import DualPoint, OnlineInstance, row_loads
+from .engine import DualPoint, OnlineInstance
 from .linops import polytope_linmax
 
 BRUTE_MAX_VARS = 6
@@ -30,10 +30,8 @@ def offline_fw(instance: OnlineInstance, K_off: int) -> tuple[np.ndarray, float]
     n, m = instance.n, instance.m
     X = np.zeros((n, m))
     for _ in range(K_off):
-        G = np.stack([obj.grad(X[i]) for i, obj in enumerate(instance.objectives)])
-        X += polytope_linmax(instance.C, instance.sets, G) / K_off
-    value = float(sum(obj.value(X[i]) for i, obj in enumerate(instance.objectives)))
-    return X, value
+        X += polytope_linmax(instance.C, instance.sets, instance.grad(X)) / K_off
+    return X, instance.value(X)
 
 
 def _grid_axes(instance: OnlineInstance, grid_points: int) -> list:
@@ -119,24 +117,15 @@ def dual_grid_slack(instance: OnlineInstance, dual: DualPoint,
     origin), so the nearest grid node is within sum_t Lip_t * h_t / 2.
     """
     Y = np.asarray(dual.Y, dtype=float)
-    caps = instance.row_boxes()
-    slack = 0.0
-    for i, obj in enumerate(instance.objectives):
-        g0 = obj.grad(np.zeros(obj.m))
-        h = caps[i] / (conjugate_grid - 1)
-        slack += float(np.sum((np.abs(Y[i]) + g0) * h / 2.0))
-    return slack
+    G0 = instance.grad(np.zeros((instance.n, instance.m)))
+    h = instance.row_boxes() / (conjugate_grid - 1)
+    return float(np.sum((np.abs(Y) + G0) * h / 2.0))
 
 
 def brute_grid_slack(instance: OnlineInstance, grid_points: int = 11) -> float:
     """Bound on OPT minus the best grid node (round any point down to the grid)."""
-    caps = instance.row_boxes()
-    slack = 0.0
-    for i, obj in enumerate(instance.objectives):
-        g0 = obj.grad(np.zeros(obj.m))
-        h = caps[i] / (grid_points - 1)
-        slack += float(np.sum(g0 * h))
-    return slack
+    G0 = instance.grad(np.zeros((instance.n, instance.m)))
+    return float(np.sum(G0 * instance.row_boxes() / (grid_points - 1)))
 
 
 def weak_duality_gap(instance: OnlineInstance, dual: DualPoint,

@@ -75,6 +75,14 @@ class OnlineInstance:
         for t in range(self.m):
             yield t, self.C[:, t], self.sets[t]
 
+    def value(self, X) -> float:
+        """Objective total sum_i H_i(x_i) of an n x m allocation."""
+        return float(sum(obj.value(X[i]) for i, obj in enumerate(self.objectives)))
+
+    def grad(self, X) -> np.ndarray:
+        """n x m matrix whose row i is grad H_i(x_i)."""
+        return np.stack([obj.grad(X[i]) for i, obj in enumerate(self.objectives)])
+
     def row_boxes(self) -> np.ndarray:
         """(n, m) per-coordinate caps implied by the feasible sets."""
         return np.stack([s.coordinate_caps() for s in self.sets], axis=1)
@@ -139,6 +147,14 @@ def _penalized(g, c, penalties, loads) -> np.ndarray:
     return np.array([g[i] + c[i] * penalties[i].derivative(loads[i]) for i in range(len(g))])
 
 
+def _totals(instance: OnlineInstance, penalties, X) -> tuple[np.ndarray, float, float]:
+    """Row loads, ALG = sum_i H_i(x_i) and P = ALG + sum_i G_i(load_i) of X."""
+    loads = row_loads(instance.C, X)
+    alg = instance.value(X)
+    p_gseq = alg + float(sum(p.value(loads[i]) for i, p in enumerate(penalties)))
+    return loads, alg, p_gseq
+
+
 def run_online(instance: OnlineInstance, penalties, cfg: EngineConfig,
                on_step=None) -> RunTrace:
     """Run the online solver over all arrivals and return the full trace.
@@ -199,12 +215,8 @@ def run_online(instance: OnlineInstance, penalties, cfg: EngineConfig,
         if on_step is not None:
             on_step(t, omega[:, t].copy())
 
-    final_loads = row_loads(instance.C, omega)
-    alg = float(sum(obj.value(omega[i]) for i, obj in enumerate(instance.objectives)))
-    p_gseq = alg + float(
-        sum(p.value(final_loads[i]) for i, p in enumerate(penalties))
-    )
-    Y = np.stack([obj.grad(omega[i]) for i, obj in enumerate(instance.objectives)])
+    final_loads, alg, p_gseq = _totals(instance, penalties, omega)
+    Y = instance.grad(omega)
     z = np.array([-p.derivative(final_loads[i]) for i, p in enumerate(penalties)])
     return RunTrace(
         allocations=omega,
@@ -237,9 +249,7 @@ def evaluate_trace(instance: OnlineInstance, penalties,
     X = np.asarray(trace.allocations, dtype=float)
     if X.shape != (instance.n, instance.m):
         raise ValueError("allocation shape does not match the instance")
-    loads = row_loads(instance.C, X)
-    alg = float(sum(obj.value(X[i]) for i, obj in enumerate(instance.objectives)))
-    p_gseq = alg + float(sum(p.value(loads[i]) for i, p in enumerate(penalties)))
+    loads, alg, p_gseq = _totals(instance, penalties, X)
     tol = trace.config.budget_tol
     violations = []
     for i, p in enumerate(penalties):

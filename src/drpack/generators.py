@@ -25,7 +25,8 @@ import numpy as np
 
 from .engine import OnlineInstance
 from .feasible import Box, Simplex
-from .objectives import LinearObjective, MultilinearObjective, QuadraticObjective, SetFunctionTable
+from .objectives import (MAX_GROUND_SET, LinearObjective, MultilinearObjective,
+                         QuadraticObjective, SetFunctionTable)
 
 FAMILIES = (
     "quadratic_sec5",
@@ -35,8 +36,6 @@ FAMILIES = (
     "welfare_simplex",
     "gap",
 )
-
-MULTILINEAR_MAX_STEPS = 20
 
 
 @dataclass(frozen=True)
@@ -112,7 +111,7 @@ def generate(spec: GeneratorSpec) -> OnlineInstance:
             ratios = rng.uniform(p.get("ratio_low", 1.0), p.get("ratio_high", math.e), size=m)
             objectives = [LinearObjective(c * ratios)]
         elif kind == "multilinear":
-            if m > MULTILINEAR_MAX_STEPS:
+            if m > MAX_GROUND_SET:
                 raise ValueError("multilinear ground set too large for exact evaluation")
             objectives = [MultilinearObjective(_random_concave_of_modular(rng, m))]
         else:
@@ -121,7 +120,7 @@ def generate(spec: GeneratorSpec) -> OnlineInstance:
         return OnlineInstance(c[None, :], sets, objectives)
 
     if spec.family == "welfare_simplex":
-        if m > MULTILINEAR_MAX_STEPS:
+        if m > MAX_GROUND_SET:
             raise ValueError("multilinear ground set too large for exact evaluation")
         flavor = p.get("valuations", "coverage")
         objectives = []
@@ -135,7 +134,7 @@ def generate(spec: GeneratorSpec) -> OnlineInstance:
         return OnlineInstance(C, sets, objectives)
 
     if spec.family == "gap":
-        if m > MULTILINEAR_MAX_STEPS:
+        if m > MAX_GROUND_SET:
             raise ValueError("multilinear ground set too large for exact evaluation")
         C = rng.uniform(p.get("cost_low", 0.1), p.get("cost_high", 0.5), size=(n, m))
         objectives = [

@@ -206,26 +206,19 @@ class ExperimentResult:
 
 
 def reproduce_table1(n: int, seeds: int = 10, K: int = 50, m: int = 100,
-                     base_seed: int = 0, penalty_policy: str = "auto",
-                     alpha_refinements: int = 2) -> ExperimentResult:
+                     base_seed: int = 0, alpha_refinements: int = 2) -> ExperimentResult:
     """Run the random-quadratic benchmark and aggregate CR and budget usage.
 
-    One seeded instance per repetition: generate, build penalties (auto =
-    bounds from the instance data; data = tightened to a probe trajectory),
-    run online with K inner steps, and divide by the offline Frank-Wolfe value
-    at the same K.
+    One seeded instance per repetition: generate, build penalties with bounds
+    from the instance data, run online with K inner steps, and divide by the
+    offline Frank-Wolfe value at the same K.
     """
     result = ExperimentResult(n=n, m=m, K=K)
     for j in range(seeds):
         t0 = time.perf_counter()
         spec = GeneratorSpec("quadratic_sec5", n, m, base_seed + j)
         instance = generate(spec)
-        if penalty_policy == "auto":
-            penalties = auto_penalties(instance)
-        elif penalty_policy == "data":
-            penalties = data_driven_penalties(instance, cfg=EngineConfig(K=K))
-        else:
-            raise ValueError(f"unknown penalty policy {penalty_policy!r}")
+        penalties = auto_penalties(instance)
         trace = run_online(instance, penalties, EngineConfig(K=K))
         X_off, fw_value = offline_fw(instance, K)
         report = bound_report(instance, penalties, trace, K_off=K,

@@ -7,9 +7,9 @@ from .feasible import Box
 _EPS = 1e-12
 
 
-def budget_linmax(g, c, ub, *, budget: float = 1.0, equality: bool = False,
+def budget_linmax(g, c, ub, *, equality: bool = False,
                   minimize: bool = False) -> np.ndarray:
-    """Exact solution of max/min g'x s.t. c'x <= budget (or = budget), 0 <= x <= ub.
+    """Exact solution of max/min g'x s.t. c'x <= 1 (or = 1), 0 <= x <= ub.
 
     Costs must be non-negative; zero-cost coordinates are handled separately.
     Greedy by value-to-cost density, which is exact for a single budget row.
@@ -18,7 +18,7 @@ def budget_linmax(g, c, ub, *, budget: float = 1.0, equality: bool = False,
     c = np.asarray(c, dtype=float)
     ub = np.asarray(ub, dtype=float)
     if minimize:
-        return budget_linmax(-g, c, ub, budget=budget, equality=equality)
+        return budget_linmax(-g, c, ub, equality=equality)
     if np.any(c < 0):
         raise ValueError("costs must be non-negative")
 
@@ -27,11 +27,11 @@ def budget_linmax(g, c, ub, *, budget: float = 1.0, equality: bool = False,
     x[free & (g > 0.0)] = ub[free & (g > 0.0)]
 
     paid = np.flatnonzero(~free)
-    if equality and c[paid] @ ub[paid] < budget - 1e-9:
+    if equality and c[paid] @ ub[paid] < 1.0 - 1e-9:
         raise ValueError("budget cannot be met with the given bounds")
     density = g[paid] / c[paid]
     order = paid[np.argsort(-density, kind="stable")]
-    remaining = budget
+    remaining = 1.0
     for j in order:
         if remaining <= _EPS:
             break
@@ -68,14 +68,6 @@ def polytope_inequalities(C, sets) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             a_rows.append(row.ravel())
             b_vals.append(s.scale)
     return np.array(a_rows), np.array(b_vals), caps.ravel()
-
-
-def polytope_contains(C, sets, X, tol: float = 1e-9) -> bool:
-    """Membership in the joint offline region, up to an additive tolerance."""
-    A, b, caps = polytope_inequalities(C, sets)
-    x = np.asarray(X, dtype=float).ravel()
-    return bool(np.all(x >= -tol) and np.all(x <= caps + tol)
-                and np.all(A @ x <= b + tol))
 
 
 def polytope_linmax(C, sets, G) -> np.ndarray:

@@ -4,8 +4,15 @@ Three families are provided: non-concave quadratics whose curvature matrix is
 element-wise non-positive, exact multilinear extensions of small monotone
 submodular set functions, and linear objectives. All objectives vanish at the
 origin, have non-negative anti-tone gradients on their domain, and expose
-exact values/gradients (the multilinear extension is evaluated by full subset
-enumeration, so everything is deterministic to machine precision).
+exact values/gradients. The multilinear extension contracts its table one
+element at a time: O(2^v) per value, O(v 2^v) per full gradient, and exact
+at integral vertices.
+
+Behaviour that varies by kind lives on the classes: `domain_cap` caps every
+coordinate; `grad_range(chat, box) -> (sup, inf)` bounds each gradient
+coordinate over the budget face {0 <= x <= box, chat'x = 1} (sup) and over
+{0 <= x <= box, chat'x <= 1} (inf); `smoothness(box)` bounds the gradient's
+Lipschitz constant. The box passed to both is already capped.
 
 Each objective also has the arrival oracle used by the online solver,
 `arrival_grad(prefix_row, t) -> (g0, slope)`. While arrival t is open only
@@ -20,9 +27,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linops import budget_linmax
+
 MAX_GROUND_SET = 20
 VALUE_FLOOR = 1e-9
 _L_TOL = 1e-12
+# Cap on B * 2^v in one multilinear contraction block: its 512 KB temporaries
+# stay in cache and are reused by the allocator, where 8 MB ones are mapped
+# and page-faulted afresh on every fold.
+_BLOCK_ELEMENTS = 1 << 16
 
 
 def _as_vector(x, m, name="x"):
@@ -30,6 +43,17 @@ def _as_vector(x, m, name="x"):
     if x.shape != (m,):
         raise ValueError(f"{name} must have shape ({m},), got {x.shape}")
     return x
+
+
+_STEP = np.array([-1.0, 1.0])  # multilinear weights of a forward difference
+
+
+def _weights(X) -> np.ndarray:
+    """Per-element weights [1 - x_j, x_j] of X, shape X.shape + (2,)."""
+    W = np.empty(np.shape(X) + (2,))
+    W[..., 0] = 1.0 - X
+    W[..., 1] = X
+    return W
 
 
 class SetFunctionTable:
@@ -50,22 +74,9 @@ class SetFunctionTable:
             raise ValueError("set function must be normalized: f(empty)=0")
         self.v = v
         self.values = values
-        self._masks = None
 
     def value(self, mask: int) -> float:
         return float(self.values[mask])
-
-    def marginal(self, j: int, mask: int) -> float:
-        """Gain of element j on top of mask \\ {j}."""
-        base = mask & ~(1 << j)
-        return float(self.values[base | (1 << j)] - self.values[base])
-
-    def subset_masks(self) -> np.ndarray:
-        """Boolean (2^v, v) membership matrix, cached."""
-        if self._masks is None:
-            idx = np.arange(2**self.v, dtype=np.int64)
-            self._masks = ((idx[:, None] >> np.arange(self.v)[None, :]) & 1).astype(bool)
-        return self._masks
 
     def is_monotone(self, tol: float = 0.0) -> bool:
         for mask in range(2**self.v):
@@ -104,9 +115,7 @@ class SetFunctionTable:
 
     @classmethod
     def cardinality(cls, v: int):
-        idx = np.arange(2**v, dtype=np.int64)
-        counts = np.array([bin(i).count("1") for i in idx], dtype=float)
-        return cls(counts)
+        return cls.modular(np.ones(v))
 
     @classmethod
     def modular(cls, weights):
@@ -160,6 +169,7 @@ class QuadraticObjective:
     """0.5 x'Hx + h'x + c0 with symmetric H; DR-submodular when H <= 0 element-wise."""
 
     kind = "quadratic"
+    domain_cap = math.inf
 
     def __init__(self, H, h, c0: float = 0.0):
         H = np.asarray(H, dtype=float)
@@ -208,11 +218,31 @@ class QuadraticObjective:
         X = np.asarray(X, dtype=float)
         return X @ self.H + self.h[None, :]
 
+    def grad_range(self, chat, box) -> tuple[np.ndarray, np.ndarray]:
+        # the gradient is affine, so each bound is an exact fractional knapsack
+        face_feasible = chat @ box >= 1.0 - 1e-12
+        sup = np.empty(self.m)
+        inf = np.empty(self.m)
+        for t in range(self.m):
+            if face_feasible:
+                x = budget_linmax(self.H[t], chat, box, equality=True)
+            else:
+                x = np.zeros(self.m)  # anti-tone gradient peaks at the origin
+            sup[t] = self.H[t] @ x + self.h[t]
+            x = budget_linmax(self.H[t], chat, box, minimize=True)
+            inf[t] = self.H[t] @ x + self.h[t]
+        return sup, inf
+
+    def smoothness(self, box) -> float:
+        # the Hessian is constant: exact max row sum of |H|
+        return float(np.abs(self.H).sum(axis=1).max())
+
 
 class LinearObjective:
     """d'x with non-negative coefficients (gradient is constant, so trivially DR)."""
 
     kind = "linear"
+    domain_cap = math.inf
 
     def __init__(self, d):
         d = np.asarray(d, dtype=float)
@@ -246,16 +276,27 @@ class LinearObjective:
         X = np.asarray(X, dtype=float)
         return np.broadcast_to(self.d, X.shape).copy()
 
+    def grad_range(self, chat, box) -> tuple[np.ndarray, np.ndarray]:
+        return self.d, self.d
+
+    def smoothness(self, box) -> float:
+        return 0.0
+
 
 class MultilinearObjective:
-    """Exact multilinear extension of a set function, by full subset enumeration.
+    """Exact multilinear extension of a set function.
 
     F(x) = sum_S f(S) prod_{i in S} x_i prod_{j not in S} (1 - x_j), i.e. the
     expectation of f under independent inclusion with probabilities x.
     Domain is the unit cube.
+
+    Every method contracts the table against per-element weights [w_out, w_in]:
+    [1 - x_j, x_j] gives the value, and [-1, 1] on coordinate t (on s and t)
+    gives gradient coordinate t (Hessian entry s, t).
     """
 
     kind = "multilinear"
+    domain_cap = 1.0
 
     def __init__(self, table: SetFunctionTable):
         self.table = table
@@ -267,21 +308,32 @@ class MultilinearObjective:
             raise ValueError("x must lie in the unit cube")
         return np.clip(x, 0.0, 1.0)
 
-    def _value_raw(self, x) -> float:
-        masks = self.table.subset_masks()
-        probs = np.prod(np.where(masks, x, 1.0 - x), axis=1)
-        return float(probs @ self.table.values)
+    def _contract(self, W) -> np.ndarray:
+        """sum_S f(S) prod_j W[b, j, (j in S)] for each stack b of W, shape (B, v, 2).
+
+        Folds the table one element at a time, from the highest bit down, in
+        blocks of stacks that hold at most _BLOCK_ELEMENTS table entries.
+        """
+        out = np.empty(len(W))
+        rows = max(1, _BLOCK_ELEMENTS >> self.m)
+        for lo in range(0, len(W), rows):
+            w = W[lo:lo + rows]
+            T = self.table.values[None, :]
+            half = T.shape[1]
+            for j in reversed(range(self.m)):
+                # bit j splits the remaining table into its two halves
+                half >>= 1
+                T = w[:, j, 0, None] * T[:, :half] + w[:, j, 1, None] * T[:, half:]
+            out[lo:lo + rows] = T[:, 0]
+        return out
 
     def value(self, x) -> float:
-        return self._value_raw(self._check(x))
+        return float(self._contract(_weights(self._check(x))[None])[0])
 
     def grad_coord(self, x, t: int) -> float:
-        x = self._check(x)
-        hi = x.copy()
-        lo = x.copy()
-        hi[t] = 1.0
-        lo[t] = 0.0
-        return self._value_raw(hi) - self._value_raw(lo)
+        W = _weights(self._check(x))
+        W[t] = _STEP
+        return float(self._contract(W[None])[0])
 
     def arrival_grad(self, prefix_row, t: int) -> tuple[float, float]:
         # grad_coord(x, t) does not read x_t, so the slope is 0
@@ -290,53 +342,45 @@ class MultilinearObjective:
         return self.grad_coord(x, t), 0.0
 
     def grad(self, x) -> np.ndarray:
-        x = self._check(x)
-        g = np.empty(self.m)
-        for t in range(self.m):
-            hi = x.copy()
-            lo = x.copy()
-            hi[t] = 1.0
-            lo[t] = 0.0
-            g[t] = self._value_raw(hi) - self._value_raw(lo)
-        return g
+        return self.grad_many(self._check(x)[None])[0]
 
     def hessian(self, x) -> np.ndarray:
-        x = self._check(x)
+        s, t = np.triu_indices(self.m, 1)
+        W = np.repeat(_weights(self._check(x))[None], len(s), axis=0)
+        pairs = np.arange(len(s))
+        W[pairs, s] = W[pairs, t] = _STEP
         Hm = np.zeros((self.m, self.m))
-        for s in range(self.m):
-            for t in range(s + 1, self.m):
-                pts = []
-                for bs, bt in ((1, 1), (1, 0), (0, 1), (0, 0)):
-                    y = x.copy()
-                    y[s] = bs
-                    y[t] = bt
-                    pts.append(self._value_raw(y))
-                Hm[s, t] = Hm[t, s] = pts[0] - pts[1] - pts[2] + pts[3]
+        Hm[s, t] = Hm[t, s] = self._contract(W)
         return Hm
 
     def value_many(self, X) -> np.ndarray:
-        X = np.clip(np.asarray(X, dtype=float), 0.0, 1.0)
-        masks = self.table.subset_masks()
-        f = self.table.values
-        n_states, v = masks.shape
-        out = np.empty(len(X))
-        chunk = max(1, 4_000_000 // (n_states * v))
-        for lo in range(0, len(X), chunk):
-            block = X[lo:lo + chunk]
-            w = np.where(masks[None, :, :], block[:, None, :], 1.0 - block[:, None, :])
-            out[lo:lo + chunk] = w.prod(axis=2) @ f
-        return out
+        return self._contract(_weights(np.clip(np.asarray(X, dtype=float), 0.0, 1.0)))
 
     def grad_many(self, X) -> np.ndarray:
+        # stack (b, t) differences coordinate t of X[b]
         X = np.asarray(X, dtype=float)
-        G = np.empty_like(X)
-        for t in range(self.m):
-            hi = X.copy()
-            lo = X.copy()
-            hi[:, t] = 1.0
-            lo[:, t] = 0.0
-            G[:, t] = self.value_many(hi) - self.value_many(lo)
-        return G
+        W = np.repeat(_weights(X)[:, None], self.m, axis=1)
+        diag = np.arange(self.m)
+        W[:, diag, diag] = _STEP
+        return self._contract(W.reshape(-1, self.m, 2)).reshape(X.shape)
+
+    def grad_range(self, chat, box) -> tuple[np.ndarray, np.ndarray]:
+        # anti-tone gradient: certified (possibly conservative) bounds at the
+        # origin and at the element-wise largest feasible point
+        active = chat > 0.0
+        top = np.minimum(box, np.where(active, 1.0 / np.where(active, chat, 1.0), box))
+        sup, inf = self.grad_many(np.stack([np.zeros(self.m), top]))
+        return sup, inf
+
+    def smoothness(self, box) -> float:
+        # sampled, so not certified; it only feeds the finite-K slack report
+        rng = np.random.default_rng(0)
+        X = rng.uniform(0.0, box, size=(256, self.m))
+        Y = rng.uniform(X, box)
+        num = np.linalg.norm(self.grad_many(X) - self.grad_many(Y), axis=1)
+        den = np.linalg.norm(X - Y, axis=1)
+        ok = den > 1e-12
+        return float(np.max(num[ok] / den[ok], initial=0.0))
 
 
 def prefix_grad_coord(obj, omega, t: int) -> float:
@@ -363,17 +407,14 @@ class DrCheckResult:
     coord: int | None = None
 
 
-def check_dr(obj, trials: int = 1000, rng_seed: int = 0, domain_box=None,
+def check_dr(obj, trials: int = 1000, rng_seed: int = 0,
              tol: float = 1e-9) -> DrCheckResult:
-    """Sample ordered pairs x <= y and verify grad(x) >= grad(y) element-wise."""
+    """Sample ordered pairs x <= y in the unit cube; check grad(x) >= grad(y)."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    box = np.ones(obj.m) if domain_box is None else np.asarray(domain_box, dtype=float)
-    if obj.kind == "multilinear":
-        box = np.minimum(box, 1.0)
     rng = np.random.default_rng(rng_seed)
-    X = rng.uniform(0.0, box, size=(trials, obj.m))
-    Y = rng.uniform(X, box)
+    X = rng.uniform(0.0, 1.0, size=(trials, obj.m))
+    Y = rng.uniform(X, 1.0)
     GX = obj.grad_many(X)
     GY = obj.grad_many(Y)
     gap = GY - GX
@@ -391,10 +432,6 @@ class CurvatureReport:
     witness: np.ndarray
 
 
-def total_curvature(table: SetFunctionTable) -> float:
-    return table.total_curvature()
-
-
 def _ratio_and_jac(obj, u, floor):
     g = obj.grad(u)
     val = obj.value(u)
@@ -405,9 +442,8 @@ def _ratio_and_jac(obj, u, floor):
     return ratio, jac
 
 
-def estimate_alpha(obj, chat, domain_box=None, *, grid_axis: int = 25,
-                   samples: int = 2048, refinements: int = 20,
-                   seed: int = 0) -> CurvatureReport:
+def estimate_alpha(obj, chat, domain_box=None, *, samples: int = 2048,
+                   refinements: int = 20, seed: int = 0) -> CurvatureReport:
     """Estimate inf <grad H(u), u>/H(u) - 1 over {u >= 0, chat'u <= 1, u in box}.
 
     Dense grid (dimension <= 4) plus random sampling, followed by multi-start
@@ -422,8 +458,7 @@ def estimate_alpha(obj, chat, domain_box=None, *, grid_axis: int = 25,
     if np.any(chat < 0) or not np.any(chat > 0):
         raise ValueError("chat must be non-negative with at least one positive entry")
     box = np.ones(obj.m) if domain_box is None else np.asarray(domain_box, dtype=float)
-    if obj.kind == "multilinear":
-        box = np.minimum(box, 1.0)
+    box = np.minimum(box, obj.domain_cap)
 
     if obj.kind == "linear":
         # <d, u>/<d, u> == 1 identically, so alpha = 0 exactly.
@@ -437,7 +472,7 @@ def estimate_alpha(obj, chat, domain_box=None, *, grid_axis: int = 25,
 
     cands = []
     if obj.m <= 4:
-        axes = [np.linspace(0.0, b, grid_axis) for b in box]
+        axes = [np.linspace(0.0, b, 25) for b in box]
         grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, obj.m)
         cands.append(grid[grid @ chat <= 1.0 + 1e-12])
     rng = np.random.default_rng(seed)
@@ -493,24 +528,8 @@ def estimate_alpha(obj, chat, domain_box=None, *, grid_axis: int = 25,
     return CurvatureReport(alpha, kappa, best_point)
 
 
-def estimate_smoothness(obj, domain_box, *, samples: int = 256, seed: int = 0) -> float:
-    """Upper bound on the gradient Lipschitz constant along signed directions.
-
-    Quadratics use the exact max row sum of |H| (the Hessian is constant);
-    linear objectives are 0; multilinear extensions use a sampled bound. The
-    value only feeds the finite-iteration slack report, so a sampled bound is
-    acceptable there.
-    """
-    box = np.asarray(domain_box, dtype=float)
-    if obj.kind == "quadratic":
-        return float(np.abs(obj.H).sum(axis=1).max())
-    if obj.kind == "linear":
-        return 0.0
-    box = np.minimum(box, 1.0)
-    rng = np.random.default_rng(seed)
-    X = rng.uniform(0.0, box, size=(samples, obj.m))
-    Y = rng.uniform(X, box)
-    num = np.linalg.norm(obj.grad_many(X) - obj.grad_many(Y), axis=1)
-    den = np.linalg.norm(X - Y, axis=1)
-    ok = den > 1e-12
-    return float(np.max(num[ok] / den[ok], initial=0.0))
+def estimate_smoothness(obj, domain_box) -> float:
+    """Upper bound on the gradient Lipschitz constant along signed directions:
+    exact for quadratic and linear objectives, sampled for multilinear ones
+    (it only feeds the finite-iteration slack report)."""
+    return obj.smoothness(np.minimum(np.asarray(domain_box, dtype=float), obj.domain_cap))

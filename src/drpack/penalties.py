@@ -18,8 +18,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linops import budget_linmax
-
 _E = math.e
 L_SHRINK = 1.0 - 1e-9
 
@@ -30,14 +28,25 @@ class PenaltyModel:
     U: float
     L: float
     epsilon: float = 0.0
+    # s = 1 + epsilon and the rate gamma (multi_constraint) or beta (single)
+    _s: float = field(init=False, repr=False, compare=False)
+    _rate: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.regime not in ("single_constraint", "multi_constraint"):
             raise ValueError(f"unknown regime {self.regime!r}")
+        if not all(math.isfinite(v) for v in (self.U, self.L, self.epsilon)):
+            raise ValueError("U, L and epsilon must be finite")
         if not 0.0 < self.L <= self.U:
             raise ValueError("need 0 < L <= U")
         if self.epsilon < 0.0:
             raise ValueError("epsilon must be non-negative")
+        if self.regime == "multi_constraint":
+            rate = math.log1p(self.U * (_E - 1.0) / self.L)
+        else:
+            rate = 1.0 + math.log(self.U / self.L)
+        object.__setattr__(self, "_s", 1.0 + self.epsilon)
+        object.__setattr__(self, "_rate", rate)
 
     @property
     def load_cap(self) -> float:
@@ -46,28 +55,24 @@ class PenaltyModel:
     def value(self, u: float) -> float:
         if u < 0.0:
             raise ValueError("load must be non-negative")
-        s = 1.0 + self.epsilon
+        s, rate = self._s, self._rate
         if self.regime == "multi_constraint":
-            gamma = math.log1p(self.U * (_E - 1.0) / self.L)
-            lead = self.L * s / ((_E - 1.0) * gamma)
-            return lead * -math.expm1(u * gamma / s) + self.L * u / (_E - 1.0)
-        beta = 1.0 + math.log(self.U / self.L)
-        theta = s / beta
+            lead = self.L * s / ((_E - 1.0) * rate)
+            return lead * -math.expm1(u * rate / s) + self.L * u / (_E - 1.0)
+        theta = s / rate
         if u < theta:
             return -self.L * u
-        return -theta * (self.L / _E) * math.exp(beta * u / s)
+        return -theta * (self.L / _E) * math.exp(rate * u / s)
 
     def derivative(self, u: float) -> float:
         if u < 0.0:
             raise ValueError("load must be non-negative")
-        s = 1.0 + self.epsilon
+        s, rate = self._s, self._rate
         if self.regime == "multi_constraint":
-            gamma = math.log1p(self.U * (_E - 1.0) / self.L)
-            return self.L / (_E - 1.0) * -math.expm1(u * gamma / s)
-        beta = 1.0 + math.log(self.U / self.L)
-        if u < s / beta:
+            return self.L / (_E - 1.0) * -math.expm1(u * rate / s)
+        if u < s / rate:
             return -self.L
-        return -(self.L / _E) * math.exp(beta * u / s)
+        return -(self.L / _E) * math.exp(rate * u / s)
 
 
 @dataclass(frozen=True)
@@ -140,11 +145,11 @@ def compute_UL(obj, chat, domain_box) -> tuple[float, float]:
     L = min_t inf { grad_t H(x) : x >= 0, chat'x <= 1, x <= box } / c_t
 
     Zero-cost coordinates are excluded from the max/min (they never consume
-    budget). Quadratic/linear gradients are affine, so the sup/inf are exact
-    fractional-knapsack solutions; multilinear gradients are anti-tone, so the
-    corners 0 and the element-wise largest feasible point give certified
-    (possibly conservative) bounds. The returned L is shrunk by 1 - 1e-9 so
-    exact-ratio ties still produce strictly positive directions.
+    budget). The per-coordinate sup/inf come from the objective's
+    `grad_range`: exact fractional-knapsack solutions for the affine
+    quadratic/linear gradients, and certified (possibly conservative) corner
+    bounds for the anti-tone multilinear ones. The returned L is shrunk by
+    1 - 1e-9 so exact-ratio ties still produce strictly positive directions.
     """
     chat = np.asarray(chat, dtype=float)
     box = np.asarray(domain_box, dtype=float)
@@ -154,34 +159,9 @@ def compute_UL(obj, chat, domain_box) -> tuple[float, float]:
     if not np.any(active):
         raise ValueError("all coordinates have zero cost; bounds undefined")
 
-    if obj.kind == "linear":
-        ratios = obj.d[active] / chat[active]
-        U, L = float(np.max(ratios)), float(np.min(ratios))
-    elif obj.kind == "quadratic":
-        face_feasible = chat @ box >= 1.0 - 1e-12
-        sup_vals = np.empty(obj.m)
-        inf_vals = np.empty(obj.m)
-        for t in np.flatnonzero(active):
-            if face_feasible:
-                x = budget_linmax(obj.H[t], chat, box, equality=True)
-            else:
-                x = np.zeros(obj.m)  # anti-tone gradient peaks at the origin
-            sup_vals[t] = obj.H[t] @ x + obj.h[t]
-            x = budget_linmax(obj.H[t], chat, box, minimize=True)
-            inf_vals[t] = obj.H[t] @ x + obj.h[t]
-        U = float(np.max(sup_vals[active] / chat[active]))
-        L = float(np.min(inf_vals[active] / chat[active]))
-    elif obj.kind == "multilinear":
-        box = np.minimum(box, 1.0)
-        top = np.minimum(box, np.where(active, 1.0 / np.where(active, chat, 1.0), box))
-        zero = np.zeros(obj.m)
-        sup_vals = np.array([obj.grad_coord(zero, t) for t in range(obj.m)])
-        inf_vals = np.array([obj.grad_coord(top, t) for t in range(obj.m)])
-        U = float(np.max(sup_vals[active] / chat[active]))
-        L = float(np.min(inf_vals[active] / chat[active]))
-    else:
-        raise ValueError(f"unsupported objective kind {obj.kind!r}")
-
+    sup, inf = obj.grad_range(chat, np.minimum(box, obj.domain_cap))
+    U = float(np.max(sup[active] / chat[active]))
+    L = float(np.min(inf[active] / chat[active]))
     if L <= 0.0:
         raise ValueError(
             "lower value-to-weight bound is not positive; the objective is not "

@@ -9,6 +9,7 @@ from drpack.engine import DualPoint, EngineConfig, OnlineInstance, run_online
 from drpack.feasible import Box, Simplex
 from drpack.generators import GeneratorSpec, generate
 from drpack.harness import auto_penalties
+from drpack.linops import polytope_inequalities
 from drpack.objectives import (LinearObjective, MultilinearObjective,
                                QuadraticObjective, SetFunctionTable)
 
@@ -78,9 +79,15 @@ def test_fw_zero_objective():
     assert value == 0.0
 
 
-def test_fw_output_feasible():
-    from drpack.linops import polytope_contains, polytope_inequalities
+def polytope_contains(C, sets, X, tol: float = 1e-9) -> bool:
+    """Membership in the joint offline region, up to an additive tolerance."""
+    A, b, caps = polytope_inequalities(C, sets)
+    x = np.asarray(X, dtype=float).ravel()
+    return bool(np.all(x >= -tol) and np.all(x <= caps + tol)
+                and np.all(A @ x <= b + tol))
 
+
+def test_fw_output_feasible():
     for family, n, m in [("quadratic_sec5", 2, 10), ("adwords", 3, 8), ("gap", 2, 6)]:
         inst = generate(GeneratorSpec(family, n, m, seed=2))
         X, _ = offline_fw(inst, 60)

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from drpack.objectives import (CurvatureReport, LinearObjective,
-                               MultilinearObjective, QuadraticObjective,
-                               SetFunctionTable, check_dr, estimate_alpha,
-                               estimate_smoothness, prefix_grad_coord,
-                               total_curvature)
+from drpack.objectives import (_BLOCK_ELEMENTS, CurvatureReport,
+                               LinearObjective, MultilinearObjective,
+                               QuadraticObjective, SetFunctionTable, check_dr,
+                               estimate_alpha, estimate_smoothness,
+                               prefix_grad_coord)
 
 from oracles import (central_diff_grad, multilinear_grad_recursive,
                      multilinear_value_recursive, ratio_grid_min)
@@ -63,18 +63,61 @@ def test_eval_errors():
         QuadraticObjective([[-1.0]], [1.0]).value([-0.5])
 
 
+def random_multilinear(rng, v):
+    return MultilinearObjective(SetFunctionTable.concave_of_modular(
+        rng.uniform(0.2, 1.0, (3, v)), rng.uniform(0.5, 1.5, 3)))
+
+
 def test_multilinear_agrees_with_recursive_path():
     rng = np.random.default_rng(3)
-    tab = SetFunctionTable.concave_of_modular(rng.uniform(0.2, 1.0, (3, 6)),
-                                              rng.uniform(0.5, 1.5, 3))
-    F = MultilinearObjective(tab)
-    for _ in range(50):
-        x = rng.uniform(0, 1, 6)
-        assert F.value(x) == pytest.approx(
-            multilinear_value_recursive(tab.values, x), abs=1e-12)
-        t = int(rng.integers(0, 6))
-        assert F.grad_coord(x, t) == pytest.approx(
-            multilinear_grad_recursive(tab.values, x, t), abs=1e-12)
+    for v in (6, 8):
+        F = random_multilinear(rng, v)
+        f = F.table.values
+        X = rng.uniform(0, 1, (50, v))
+        want_value = np.array([multilinear_value_recursive(f, x) for x in X])
+        want_grad = np.array([[multilinear_grad_recursive(f, x, t) for t in range(v)]
+                              for x in X])
+        assert np.allclose(F.value_many(X), want_value, rtol=0.0, atol=1e-12)
+        assert np.allclose(F.grad_many(X), want_grad, rtol=0.0, atol=1e-12)
+        for x, value, grad in zip(X, want_value, want_grad):
+            assert F.value(x) == pytest.approx(value, abs=1e-12)
+            assert np.allclose(F.grad(x), grad, rtol=0.0, atol=1e-12)
+            t = int(rng.integers(0, v))
+            assert F.grad_coord(x, t) == pytest.approx(grad[t], abs=1e-12)
+
+
+def test_multilinear_hessian_is_the_corner_second_difference():
+    rng = np.random.default_rng(4)
+    for v in (6, 8):
+        F = random_multilinear(rng, v)
+        for x in rng.uniform(0, 1, (5, v)):
+            want = np.zeros((v, v))
+            for s in range(v):
+                for t in range(s + 1, v):
+                    corner = {}
+                    for bs in (0.0, 1.0):
+                        for bt in (0.0, 1.0):
+                            y = x.copy()
+                            y[s], y[t] = bs, bt
+                            corner[bs, bt] = multilinear_value_recursive(F.table.values, y)
+                    want[s, t] = want[t, s] = (corner[1, 1] - corner[1, 0]
+                                               - corner[0, 1] + corner[0, 0])
+            assert np.allclose(F.hessian(x), want, rtol=0.0, atol=1e-12)
+
+
+def test_multilinear_batches_larger_than_a_block_match_single_points():
+    # 2^v * len(X) and 2^v * v * len(X) exceed the contraction block, so
+    # value_many and grad_many each cross block boundaries
+    rng = np.random.default_rng(5)
+    v = 10
+    F = random_multilinear(rng, v)
+    X = rng.uniform(0, 1, (1500, v))
+    assert 2**v * len(X) > _BLOCK_ELEMENTS
+    values = F.value_many(X)
+    grads = F.grad_many(X)
+    for i in range(len(X)):
+        assert values[i] == F.value(X[i])
+        assert np.array_equal(grads[i], F.grad(X[i]))
 
 
 # ------------------------------------------------------------------ gradient
@@ -239,8 +282,8 @@ def test_alpha_rejects_degenerate_objective():
 # ----------------------------------------------------------- set functions
 
 def test_total_curvature_examples():
-    assert total_curvature(SetFunctionTable.modular([1.0, 2.0, 0.5])) == pytest.approx(0.0)
-    assert total_curvature(coverage_pair()) == pytest.approx(1.0)
+    assert SetFunctionTable.modular([1.0, 2.0, 0.5]).total_curvature() == pytest.approx(0.0)
+    assert coverage_pair().total_curvature() == pytest.approx(1.0)
     rng = np.random.default_rng(29)
     for _ in range(5):
         tab = SetFunctionTable.concave_of_modular(rng.uniform(0.2, 1.0, (2, 4)),

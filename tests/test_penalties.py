@@ -53,6 +53,11 @@ def test_value_errors():
         models()[0].value(-0.1)
     with pytest.raises(ValueError):
         PenaltyModel("single_constraint", 1.0, 1.0, epsilon=-0.1)
+    for U, L, eps in [(math.inf, 1.0, 0.0), (math.inf, math.inf, 0.0), (math.nan, 1.0, 0.0),
+                      (2.0, math.nan, 0.0), (2.0, 1.0, math.inf), (2.0, 1.0, math.nan)]:
+        for regime in ("multi_constraint", "single_constraint"):
+            with pytest.raises(ValueError):
+                PenaltyModel(regime, U, L, eps)
 
 
 # --------------------------------------------------------------- derivatives
