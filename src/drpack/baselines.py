@@ -12,7 +12,7 @@ on tiny instances.
 import numpy as np
 
 from .engine import DualPoint, OnlineInstance
-from .linops import polytope_linmax
+from .linops import polytope_inequalities, polytope_linmax
 
 BRUTE_MAX_VARS = 6
 BRUTE_MAX_GRID = 21
@@ -22,15 +22,16 @@ def offline_fw(instance: OnlineInstance, K_off: int) -> tuple[np.ndarray, float]
     """Fixed-step Frank-Wolfe on the full offline problem.
 
     Runs K_off iterations of X <- X + v/K_off where v maximizes the linearized
-    objective over the joint polytope. The output is an average of polytope
-    points, hence feasible.
+    objective over the joint polytope. The polytope is built once per call and
+    every iteration's linear maximization reuses it. The output is an average
+    of polytope points, hence feasible.
     """
     if K_off < 1:
         raise ValueError("K_off must be >= 1")
-    n, m = instance.n, instance.m
-    X = np.zeros((n, m))
+    X = np.zeros((instance.n, instance.m))
+    region = polytope_inequalities(instance.C, instance.sets)
     for _ in range(K_off):
-        X += polytope_linmax(instance.C, instance.sets, instance.grad(X)) / K_off
+        X += polytope_linmax(region, instance.grad(X)) / K_off
     return X, instance.value(X)
 
 

@@ -127,8 +127,7 @@ class RunTrace:
     inner: list | None = None          # per step {"v": K x n, "d": K x n} if recorded
 
 
-def direction(instance: OnlineInstance, penalties, omega, t: int,
-              loads=None) -> np.ndarray:
+def direction(instance: OnlineInstance, penalties, omega, t: int) -> np.ndarray:
     """Penalty-adjusted gradient direction d for step t at state omega.
 
     omega is the n x m state whose rows hold committed prefixes (columns < t),
@@ -136,8 +135,7 @@ def direction(instance: OnlineInstance, penalties, omega, t: int,
     grad_t H_i(omega_i) + c_{i,t} G'_i(load_i).
     """
     omega = np.asarray(omega, dtype=float)
-    if loads is None:
-        loads = row_loads(instance.C[:, : t + 1], omega[:, : t + 1])
+    loads = row_loads(instance.C[:, : t + 1], omega[:, : t + 1])
     g = [prefix_grad_coord(obj, omega[i], t) for i, obj in enumerate(instance.objectives)]
     return _penalized(g, instance.C[:, t].tolist(), penalties, loads)
 

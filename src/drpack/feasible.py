@@ -16,13 +16,13 @@ class Box:
 
     def __init__(self, bounds, radius: float | None = None):
         bounds = np.asarray(bounds, dtype=float)
-        if bounds.ndim != 1 or np.any(bounds < 0):
-            raise ValueError("bounds must be a non-negative vector")
+        if bounds.ndim != 1 or not np.all(np.isfinite(bounds)) or np.any(bounds < 0):
+            raise ValueError("bounds must be a finite non-negative vector")
         norm = float(np.linalg.norm(bounds))
         if radius is None:
             radius = norm
-        elif radius < norm * (1.0 - 1e-12):
-            raise ValueError("radius does not cover the box")
+        elif not norm * (1.0 - 1e-12) <= radius < np.inf:
+            raise ValueError("radius must be finite and cover the box")
         self.bounds = bounds
         self.radius = float(radius)
 
@@ -52,12 +52,12 @@ class Simplex:
     kind = "scaled_simplex"
 
     def __init__(self, n: int, scale: float, radius: float | None = None):
-        if n < 1 or scale <= 0:
-            raise ValueError("need n >= 1 and scale > 0")
+        if n < 1 or not 0 < scale < np.inf:
+            raise ValueError("need n >= 1 and finite scale > 0")
         if radius is None:
             radius = float(scale)
-        elif radius < scale * (1.0 - 1e-12):
-            raise ValueError("radius does not cover the simplex")
+        elif not scale * (1.0 - 1e-12) <= radius < np.inf:
+            raise ValueError("radius must be finite and cover the simplex")
         self._n = int(n)
         self.scale = float(scale)
         self.radius = float(radius)

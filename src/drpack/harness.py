@@ -13,7 +13,8 @@ from .generators import GeneratorSpec, generate
 from .objectives import estimate_alpha, estimate_smoothness
 from .penalties import BoundReport, PenaltyModel, ZeroPenalty, compute_UL, theoretical_cr
 
-DEFAULT_SLACK_MARGIN = 0.05
+SLACK_MARGIN = 0.05
+TABLE1_ALPHA_REFINEMENTS = 2
 
 VERIFY_FAMILY_DIMS = {
     "adwords": (4, 20),
@@ -117,9 +118,8 @@ def bound_report(instance: OnlineInstance, penalties, trace: RunTrace,
 
 
 def verify_bounds(family: str, trials: int = 10, K: int = 1000, seed: int = 0,
-                  *, slack_margin: float = DEFAULT_SLACK_MARGIN, n: int | None = None,
-                  m: int | None = None, params: dict | None = None) -> dict:
-    """Check empirical CR >= theoretical CR * (1 - slack_margin) per instance.
+                  *, n: int | None = None, m: int | None = None) -> dict:
+    """Check empirical CR >= theoretical CR * (1 - SLACK_MARGIN) per instance.
 
     Families without budget rows are flagged and skipped rather than checked.
     Returns {"family", "checks": [...], "ok"} with one record per instance.
@@ -129,17 +129,17 @@ def verify_bounds(family: str, trials: int = 10, K: int = 1000, seed: int = 0,
     m = m or dm
     checks = []
     for trial in range(trials):
-        spec = GeneratorSpec(family, n, m, seed + trial, params or {})
+        spec = GeneratorSpec(family, n, m, seed + trial)
         instance = generate(spec)
         if not np.any(instance.C > 0):
             checks.append({"seed": spec.seed, "skipped": "no budget rows"})
             continue
         penalties = auto_penalties(instance)
         trace = run_online(instance, penalties, EngineConfig(K=K))
-        report = bound_report(instance, penalties, trace, K_off=K)
+        report = bound_report(instance, penalties, trace)
         passed = (
             report.empirical_cr is not None
-            and report.empirical_cr >= report.theoretical_cr * (1.0 - slack_margin)
+            and report.empirical_cr >= report.theoretical_cr * (1.0 - SLACK_MARGIN)
         )
         checks.append({
             "seed": spec.seed,
@@ -152,7 +152,7 @@ def verify_bounds(family: str, trials: int = 10, K: int = 1000, seed: int = 0,
         })
     ok = all(c.get("passed", True) for c in checks)
     return {"family": family, "n": n, "m": m, "K": K,
-            "slack_margin": slack_margin, "checks": checks, "ok": ok}
+            "slack_margin": SLACK_MARGIN, "checks": checks, "ok": ok}
 
 
 @dataclass
@@ -206,7 +206,7 @@ class ExperimentResult:
 
 
 def reproduce_table1(n: int, seeds: int = 10, K: int = 50, m: int = 100,
-                     base_seed: int = 0, alpha_refinements: int = 2) -> ExperimentResult:
+                     base_seed: int = 0) -> ExperimentResult:
     """Run the random-quadratic benchmark and aggregate CR and budget usage.
 
     One seeded instance per repetition: generate, build penalties with bounds
@@ -220,9 +220,9 @@ def reproduce_table1(n: int, seeds: int = 10, K: int = 50, m: int = 100,
         instance = generate(spec)
         penalties = auto_penalties(instance)
         trace = run_online(instance, penalties, EngineConfig(K=K))
-        X_off, fw_value = offline_fw(instance, K)
-        report = bound_report(instance, penalties, trace, K_off=K,
-                              alpha_refinements=alpha_refinements,
+        _, fw_value = offline_fw(instance, K)
+        report = bound_report(instance, penalties, trace,
+                              alpha_refinements=TABLE1_ALPHA_REFINEMENTS,
                               fw_value=fw_value)
         result.records.append(SeedRecord(
             seed=spec.seed,

@@ -1,4 +1,7 @@
-"""Exact linear maximization helpers used by the offline baseline and bound code."""
+"""Exact linear maximization helpers used by the offline baseline and bound code.
+
+The joint offline region is built once as arrays and reused by every linmax.
+"""
 
 import numpy as np
 
@@ -7,9 +10,8 @@ from .feasible import Box
 _EPS = 1e-12
 
 
-def budget_linmax(g, c, ub, *, equality: bool = False,
-                  minimize: bool = False) -> np.ndarray:
-    """Exact solution of max/min g'x s.t. c'x <= 1 (or = 1), 0 <= x <= ub.
+def budget_linmax(g, c, ub, *, equality: bool = False) -> np.ndarray:
+    """Exact solution of max g'x s.t. c'x <= 1 (or = 1), 0 <= x <= ub.
 
     Costs must be non-negative; zero-cost coordinates are handled separately.
     Greedy by value-to-cost density, which is exact for a single budget row.
@@ -17,8 +19,6 @@ def budget_linmax(g, c, ub, *, equality: bool = False,
     g = np.asarray(g, dtype=float)
     c = np.asarray(c, dtype=float)
     ub = np.asarray(ub, dtype=float)
-    if minimize:
-        return budget_linmax(-g, c, ub, equality=equality)
     if np.any(c < 0):
         raise ValueError("costs must be non-negative")
 
@@ -33,9 +33,7 @@ def budget_linmax(g, c, ub, *, equality: bool = False,
     order = paid[np.argsort(-density, kind="stable")]
     remaining = 1.0
     for j in order:
-        if remaining <= _EPS:
-            break
-        if not equality and g[j] <= 0.0:
+        if remaining <= _EPS or (not equality and g[j] <= 0.0):
             break
         take = min(ub[j], remaining / c[j])
         x[j] = take
@@ -47,56 +45,40 @@ def polytope_inequalities(C, sets) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Explicit A x <= b rows of the joint offline region, x the flattened n*m
     variable (row-major), plus per-variable upper caps.
 
-    Rows: one budget row per objective (C_i pattern on row i's variables) and
-    one sum row per simplex column. Box columns live entirely in the caps.
+    Rows: one budget row per objective (C_i pattern on row i's variables),
+    then one sum row per simplex column. Box columns live entirely in the caps.
     The region is down-closed, bounded, and contains the origin.
     """
     C = np.asarray(C, dtype=float)
     n, m = C.shape
+    simplex = [t for t, s in enumerate(sets) if not isinstance(s, Box)]
+    A = np.zeros((n + len(simplex), n, m))
+    A[np.arange(n), np.arange(n)] = C
+    A[n + np.arange(len(simplex)), :, simplex] = 1.0
+    b = np.concatenate([np.ones(n), [sets[t].scale for t in simplex]])
     caps = np.stack([s.coordinate_caps() for s in sets], axis=1)  # (n, m)
-    a_rows = []
-    b_vals = []
-    for i in range(n):
-        row = np.zeros((n, m))
-        row[i] = C[i]
-        a_rows.append(row.ravel())
-        b_vals.append(1.0)
-    for t, s in enumerate(sets):
-        if not isinstance(s, Box):
-            row = np.zeros((n, m))
-            row[:, t] = 1.0
-            a_rows.append(row.ravel())
-            b_vals.append(s.scale)
-    return np.array(a_rows), np.array(b_vals), caps.ravel()
+    return A.reshape(len(b), n * m), b, caps.ravel()
 
 
-def polytope_linmax(C, sets, G) -> np.ndarray:
-    """argmax <G, X> over {X >= 0 : column t in sets[t], row budgets C_i . X_i <= 1}.
+def polytope_linmax(region, G) -> np.ndarray:
+    """argmax <G, X> over the region (A, b, caps) from `polytope_inequalities`.
 
-    With box columns the problem splits into one fractional knapsack per row
-    and is solved in closed form; any simplex column forces a dense LP (HiGHS).
+    With only the n budget rows (all columns boxes) the problem splits into
+    one fractional knapsack per row, solved in closed form; any simplex sum
+    row forces a dense LP (HiGHS).
     """
-    C = np.asarray(C, dtype=float)
+    A, b, caps = region
     G = np.asarray(G, dtype=float)
-    n, m = C.shape
-
-    if all(isinstance(s, Box) for s in sets):
-        X = np.zeros((n, m))
-        caps = np.stack([s.coordinate_caps() for s in sets], axis=1)  # (n, m)
-        for i in range(n):
-            X[i] = budget_linmax(G[i], C[i], caps[i])
-        return X
+    n, m = G.shape
+    if len(b) == n:
+        C = A.reshape(n, n, m)[np.arange(n), np.arange(n)]
+        ub = caps.reshape(n, m)
+        return np.stack([budget_linmax(G[i], C[i], ub[i]) for i in range(n)])
 
     from scipy.optimize import linprog
 
-    A, b, caps = polytope_inequalities(C, sets)
-    res = linprog(
-        -G.ravel(),
-        A_ub=A,
-        b_ub=b,
-        bounds=list(zip(np.zeros(n * m), caps)),
-        method="highs",
-    )
+    res = linprog(-G.ravel(), A_ub=A, b_ub=b,
+                  bounds=list(zip(np.zeros(n * m), caps)), method="highs")
     if not res.success:
         raise RuntimeError(f"inner LP failed: {res.message}")
     return res.x.reshape(n, m)

@@ -38,6 +38,11 @@ _L_TOL = 1e-12
 _BLOCK_ELEMENTS = 1 << 16
 
 
+def _require_finite(name, values):
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{name} must be finite")
+
+
 def _as_vector(x, m, name="x"):
     x = np.asarray(x, dtype=float)
     if x.shape != (m,):
@@ -70,6 +75,7 @@ class SetFunctionTable:
             raise ValueError("table length must be a power of two")
         if v > MAX_GROUND_SET:
             raise ValueError(f"ground set capped at {MAX_GROUND_SET} elements")
+        _require_finite("set function values", values)
         if values[0] != 0.0:
             raise ValueError("set function must be normalized: f(empty)=0")
         self.v = v
@@ -176,6 +182,8 @@ class QuadraticObjective:
         h = np.asarray(h, dtype=float)
         if H.ndim != 2 or H.shape[0] != H.shape[1]:
             raise ValueError("H must be square")
+        for name, values in (("H", H), ("h", h), ("c0", c0)):
+            _require_finite(name, values)
         if not np.allclose(H, H.T, atol=1e-12, rtol=0.0):
             raise ValueError("H must be symmetric so that the gradient is Hx + h")
         if h.shape != (H.shape[0],):
@@ -207,7 +215,7 @@ class QuadraticObjective:
         x = self._check(prefix_row)
         return float(self.H[t, :t] @ x[:t] + self.h[t]), float(self.H[t, t])
 
-    def hessian(self, x=None) -> np.ndarray:
+    def hessian(self, x) -> np.ndarray:
         return self.H.copy()
 
     def value_many(self, X) -> np.ndarray:
@@ -229,7 +237,7 @@ class QuadraticObjective:
             else:
                 x = np.zeros(self.m)  # anti-tone gradient peaks at the origin
             sup[t] = self.H[t] @ x + self.h[t]
-            x = budget_linmax(self.H[t], chat, box, minimize=True)
+            x = budget_linmax(-self.H[t], chat, box)
             inf[t] = self.H[t] @ x + self.h[t]
         return sup, inf
 
@@ -246,6 +254,7 @@ class LinearObjective:
 
     def __init__(self, d):
         d = np.asarray(d, dtype=float)
+        _require_finite("d", d)
         if np.any(d < 0):
             raise ValueError("linear objective needs non-negative coefficients")
         self.d = d
@@ -266,7 +275,7 @@ class LinearObjective:
         _as_vector(prefix_row, self.m)
         return float(self.d[t]), 0.0
 
-    def hessian(self, x=None) -> np.ndarray:
+    def hessian(self, x) -> np.ndarray:
         return np.zeros((self.m, self.m))
 
     def value_many(self, X) -> np.ndarray:
@@ -497,8 +506,8 @@ def estimate_alpha(obj, chat, domain_box=None, *, samples: int = 2048,
     best_point = pts[order[0]].copy()
 
     constraints = [
-        {"type": "ineq", "fun": lambda u: 1.0 - chat @ u},
-        {"type": "ineq", "fun": lambda u: obj.value(u) - floor},
+        {"type": "ineq", "fun": lambda u: 1.0 - chat @ u, "jac": lambda u: -chat},
+        {"type": "ineq", "fun": lambda u: obj.value(u) - floor, "jac": obj.grad},
     ]
     bounds = [(0.0, float(b)) for b in box]
     for idx in order[:refinements]:

@@ -12,12 +12,15 @@ bitmask as decimal strings):
                     {"kind": "multilinear", "v": 3, "values": {"0": 0.0, ...}}]}
 
 Trace schema: allocations, loads, alg, p_gseq, dual {Y, z}, realized ratio
-extremes, the engine config echo, and the penalty parameters used. Floats are
-serialized with full round-trip precision, so load(save(x)) is lossless.
+extremes (null for the +inf min and -inf max of a row without a costed step,
+so files are strict JSON), the engine config echo, and the penalty parameters
+used. Floats are serialized with full round-trip precision, so load(save(x))
+is lossless.
 """
 
 import csv
 import json
+import math
 
 import numpy as np
 
@@ -96,6 +99,10 @@ def penalty_from_json(d):
     return PenaltyModel(d["regime"], d["U"], d["L"], d.get("epsilon", 0.0))
 
 
+def _extremes_to_json(values) -> list:
+    return [v if math.isfinite(v) else None for v in values.tolist()]
+
+
 def trace_to_json(trace: RunTrace) -> dict:
     return {
         "allocations": trace.allocations.tolist(),
@@ -103,8 +110,8 @@ def trace_to_json(trace: RunTrace) -> dict:
         "alg": trace.alg,
         "p_gseq": trace.p_gseq,
         "dual": {"Y": trace.dual.Y.tolist(), "z": trace.dual.z.tolist()},
-        "ratio_min": trace.ratio_min.tolist(),
-        "ratio_max": trace.ratio_max.tolist(),
+        "ratio_min": _extremes_to_json(trace.ratio_min),
+        "ratio_max": _extremes_to_json(trace.ratio_max),
         "config": {
             "K": trace.config.K,
             "overshoot_policy": trace.config.overshoot_policy,
@@ -129,8 +136,8 @@ def trace_from_json(d) -> RunTrace:
                        np.asarray(d["dual"]["z"], dtype=float)),
         config=cfg,
         penalties=[penalty_from_json(p) for p in d["penalties"]],
-        ratio_min=np.asarray(d["ratio_min"], dtype=float),
-        ratio_max=np.asarray(d["ratio_max"], dtype=float),
+        ratio_min=np.array([math.inf if v is None else v for v in d["ratio_min"]], dtype=float),
+        ratio_max=np.array([-math.inf if v is None else v for v in d["ratio_max"]], dtype=float),
     )
 
 
@@ -151,7 +158,7 @@ def bound_report_to_json(report) -> dict:
 
 def save_json(path, payload: dict) -> None:
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
+        json.dump(payload, fh, indent=2, allow_nan=False)
         fh.write("\n")
 
 

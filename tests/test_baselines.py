@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -47,8 +49,17 @@ def reference_lp_value(instance):
         row[i] = instance.C[i]
         A.append(row.ravel())
         b.append(1.0)
+    for t, s in enumerate(instance.sets):
+        if isinstance(s, Simplex):
+            row = np.zeros((n, m))
+            row[:, t] = 1.0
+            A.append(row.ravel())
+            b.append(s.scale)
+    # simplex variables are bounded by their sum row alone
+    bounds = [(0.0, float(s.bounds[i]) if isinstance(s, Box) else None)
+              for i in range(n) for s in instance.sets]
     res = linprog(-coeff, A_ub=np.array(A), b_ub=np.array(b),
-                  bounds=[(0, 1)] * (n * m), method="highs")
+                  bounds=bounds, method="highs")
     assert res.success
     return -res.fun
 
@@ -60,6 +71,14 @@ def test_fw_matches_lp_on_linear_instances():
         inst = linear_box_instance(seed)
         _, value = offline_fw(inst, 500)
         assert value == pytest.approx(reference_lp_value(inst), rel=1e-6)
+    # adwords has simplex columns, so every step solves the LP; its gradient
+    # is constant, so every step returns the same LP vertex. At m=8 the
+    # budget rows bind; at n=5, m=4 the column sums do (optimum below n).
+    for (n, m), seed in itertools.product([(3, 8), (5, 4)], range(3)):
+        inst = generate(GeneratorSpec("adwords", n, m, seed=seed))
+        assert len(polytope_inequalities(inst.C, inst.sets)[1]) > inst.n
+        _, value = offline_fw(inst, 50)
+        assert value == pytest.approx(reference_lp_value(inst), rel=1e-9)
 
 
 def test_fw_separable_concave_reaches_grid_optimum():

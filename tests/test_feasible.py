@@ -103,3 +103,12 @@ def test_bad_construction():
         Simplex(0, 1.0)
     with pytest.raises(ValueError):
         Simplex(2, 0.0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            Box([bad, 1.0])
+        with pytest.raises(ValueError):
+            Box([1.0, 1.0], radius=bad)
+        with pytest.raises(ValueError):
+            Simplex(2, bad)
+        with pytest.raises(ValueError):
+            Simplex(2, 1.0, radius=bad)

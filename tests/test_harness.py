@@ -150,19 +150,34 @@ def test_instance_round_trip_lossless(tmp_path):
             assert ob.value(x) == oa.value(x)
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
 def test_trace_round_trip_reproduces_values(tmp_path):
-    inst = generate(GeneratorSpec("quadratic_sec5", 2, 8, seed=10))
-    pens = auto_penalties(inst)
-    trace = run_online(inst, pens, EngineConfig(K=20))
-    path = tmp_path / "trace.json"
-    serialize.save_json(path, serialize.trace_to_json(trace))
-    back = serialize.trace_from_json(serialize.load_json(path))
-    assert np.array_equal(back.allocations, trace.allocations)
-    assert back.alg == trace.alg and back.p_gseq == trace.p_gseq
-    ev = evaluate_trace(inst, back.penalties, back)
-    scale = max(1.0, abs(trace.alg))
-    assert abs(ev.alg - back.alg) <= 1e-12 * scale
-    assert abs(ev.p_gseq - back.p_gseq) <= 1e-12 * scale
+    # welfare_simplex traces have rows without a costed step: their ratio
+    # extremes are infinite and must round-trip through strict JSON
+    specs = [GeneratorSpec("quadratic_sec5", 2, 8, seed=10),
+             GeneratorSpec("welfare_simplex", 3, 6, seed=10)]
+    uncosted = 0
+    for spec in specs:
+        inst = generate(spec)
+        pens = auto_penalties(inst)
+        trace = run_online(inst, pens, EngineConfig(K=20))
+        path = tmp_path / f"{spec.family}.json"
+        serialize.save_json(path, serialize.trace_to_json(trace))
+        json.loads(path.read_text(), parse_constant=_reject_constant)
+        back = serialize.trace_from_json(serialize.load_json(path))
+        assert np.array_equal(back.allocations, trace.allocations)
+        assert back.alg == trace.alg and back.p_gseq == trace.p_gseq
+        assert np.array_equal(back.ratio_min, trace.ratio_min)
+        assert np.array_equal(back.ratio_max, trace.ratio_max)
+        uncosted += int(np.sum(np.isinf(trace.ratio_min)))
+        ev = evaluate_trace(inst, back.penalties, back)
+        scale = max(1.0, abs(trace.alg))
+        assert abs(ev.alg - back.alg) <= 1e-12 * scale
+        assert abs(ev.p_gseq - back.p_gseq) <= 1e-12 * scale
+    assert uncosted > 0
 
 
 def test_penalty_round_trip():

@@ -63,6 +63,20 @@ def test_eval_errors():
         QuadraticObjective([[-1.0]], [1.0]).value([-0.5])
 
 
+def test_constructors_reject_non_finite_data():
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            LinearObjective([1.0, bad])
+        with pytest.raises(ValueError, match="finite"):
+            SetFunctionTable([0.0, bad])
+        with pytest.raises(ValueError, match="finite"):
+            QuadraticObjective([[-1.0]], [bad])
+        with pytest.raises(ValueError, match="finite"):
+            QuadraticObjective([[bad]], [1.0])
+        with pytest.raises(ValueError, match="finite"):
+            QuadraticObjective([[-1.0]], [1.0], c0=bad)
+
+
 def random_multilinear(rng, v):
     return MultilinearObjective(SetFunctionTable.concave_of_modular(
         rng.uniform(0.2, 1.0, (3, v)), rng.uniform(0.5, 1.5, 3)))
