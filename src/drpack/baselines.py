@@ -23,15 +23,21 @@ def offline_fw(instance: OnlineInstance, K_off: int) -> tuple[np.ndarray, float]
 
     Runs K_off iterations of X <- X + v/K_off where v maximizes the linearized
     objective over the joint polytope. The polytope is built once per call and
-    every iteration's linear maximization reuses it. The output is an average
-    of polytope points, hence feasible.
+    every iteration's linear maximization reuses it. The maximization runs once
+    per distinct gradient: an iteration whose gradient equals the previous one
+    exactly reuses its vertex, so an all-linear instance solves a single LP.
+    The output is an average of polytope points, hence feasible.
     """
     if K_off < 1:
         raise ValueError("K_off must be >= 1")
     X = np.zeros((instance.n, instance.m))
     region = polytope_inequalities(instance.C, instance.sets)
+    G_last = v = None
     for _ in range(K_off):
-        X += polytope_linmax(region, instance.grad(X)) / K_off
+        G = instance.grad(X)
+        if G_last is None or not np.array_equal(G, G_last):
+            G_last, v = G, polytope_linmax(region, G)
+        X += v / K_off
     return X, instance.value(X)
 
 

@@ -243,7 +243,11 @@ class TraceEvaluation:
 
 def evaluate_trace(instance: OnlineInstance, penalties,
                    trace: RunTrace) -> TraceEvaluation:
-    """Recompute objective, penalized objective, and feasibility from scratch."""
+    """Recompute objective, penalized objective, and feasibility from scratch.
+
+    A non-finite load, a column outside its set and a non-finite ALG or P are
+    each reported as a violation.
+    """
     X = np.asarray(trace.allocations, dtype=float)
     if X.shape != (instance.n, instance.m):
         raise ValueError("allocation shape does not match the instance")
@@ -258,6 +262,9 @@ def evaluate_trace(instance: OnlineInstance, penalties,
     for t, s in enumerate(instance.sets):
         if not s.contains(X[:, t], tol):
             violations.append(f"column {t} outside its feasible set")
+    for name, value in (("alg", alg), ("p_gseq", p_gseq)):
+        if not math.isfinite(value):
+            violations.append(f"objective {name} {value} is not finite")
     budget_ok = not any(v.startswith("row") for v in violations)
     sets_ok = not any(v.startswith("column") for v in violations)
     return TraceEvaluation(

@@ -1,9 +1,13 @@
 """JSON persistence for instances, penalties, traces, and reports.
 
+Instance and trace files carry a format version, "schema": 1; reading a file
+with any other version, or none (or a file that is not a JSON object),
+raises ValueError.
+
 Instance schema (dense row-major arrays; set-function tables keyed by subset
 bitmask as decimal strings):
 
-    {"n": 2, "m": 3,
+    {"schema": 1, "n": 2, "m": 3,
      "C": [[...], [...]],
      "sets": [{"kind": "scaled_box", "bounds": [...], "radius": r} |
               {"kind": "scaled_simplex", "scale": s, "radius": r}, ...],
@@ -28,6 +32,15 @@ from .engine import DualPoint, EngineConfig, OnlineInstance, RunTrace
 from .feasible import Box, Simplex
 from .objectives import LinearObjective, MultilinearObjective, QuadraticObjective, SetFunctionTable
 from .penalties import PenaltyModel, ZeroPenalty
+
+SCHEMA_VERSION = 1
+
+
+def _check_schema(d) -> None:
+    version = d.get("schema") if isinstance(d, dict) else None
+    if version != SCHEMA_VERSION:
+        raise ValueError(f"unsupported file schema {version!r}; "
+                         f"this version reads schema {SCHEMA_VERSION}")
 
 
 def set_to_json(s) -> dict:
@@ -71,6 +84,7 @@ def objective_from_json(d):
 
 def instance_to_json(instance: OnlineInstance) -> dict:
     return {
+        "schema": SCHEMA_VERSION,
         "n": instance.n,
         "m": instance.m,
         "C": instance.C.tolist(),
@@ -80,6 +94,7 @@ def instance_to_json(instance: OnlineInstance) -> dict:
 
 
 def instance_from_json(d) -> OnlineInstance:
+    _check_schema(d)
     return OnlineInstance(
         np.asarray(d["C"], dtype=float),
         [set_from_json(s) for s in d["sets"]],
@@ -105,6 +120,7 @@ def _extremes_to_json(values) -> list:
 
 def trace_to_json(trace: RunTrace) -> dict:
     return {
+        "schema": SCHEMA_VERSION,
         "allocations": trace.allocations.tolist(),
         "loads": trace.loads.tolist(),
         "alg": trace.alg,
@@ -122,6 +138,7 @@ def trace_to_json(trace: RunTrace) -> dict:
 
 
 def trace_from_json(d) -> RunTrace:
+    _check_schema(d)
     cfg = EngineConfig(
         K=d["config"]["K"],
         overshoot_policy=d["config"]["overshoot_policy"],

@@ -2,10 +2,12 @@
 
 Everything here is deliberately written from scratch against the definitions
 (recursive conditioning, corner enumeration, finite differences, pure grid
-scans) so that it shares no code path with the library being tested. The one
-exception is `reference_run_online`, the engine's earlier micro-step loop,
-which re-evaluates every gradient coordinate with `grad_coord` at each
-micro-step; the arrival-oracle engine is compared against it.
+scans) so that it shares no code path with the library being tested. The two
+exceptions are the library's earlier loops: `reference_run_online`, which
+re-evaluates every gradient coordinate with `grad_coord` at each micro-step
+and against which the arrival-oracle engine is compared, and
+`reference_offline_fw`, which solves the linear maximization on every
+Frank-Wolfe step and against which the once-per-gradient baseline is compared.
 """
 
 import itertools
@@ -14,6 +16,7 @@ import math
 import numpy as np
 
 from drpack.engine import DualPoint, RunTrace, row_loads
+from drpack.linops import polytope_inequalities, polytope_linmax
 
 
 def multilinear_value_recursive(values, x):
@@ -183,3 +186,14 @@ def reference_run_online(instance, penalties, cfg, on_step=None):
         ratio_max=ratio_max,
         inner=inner,
     )
+
+
+# ---------------------------------------------- reference offline Frank-Wolfe
+
+def reference_offline_fw(instance, K_off):
+    """Fixed-step Frank-Wolfe with one linear maximization on every step."""
+    X = np.zeros((instance.n, instance.m))
+    region = polytope_inequalities(instance.C, instance.sets)
+    for _ in range(K_off):
+        X += polytope_linmax(region, instance.grad(X)) / K_off
+    return X, instance.value(X)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from drpack import baselines
 from drpack.baselines import (brute_force_opt, brute_grid_slack,
                               dual_grid_slack, dual_objective, offline_fw,
                               weak_duality_gap)
@@ -11,11 +12,11 @@ from drpack.engine import DualPoint, EngineConfig, OnlineInstance, run_online
 from drpack.feasible import Box, Simplex
 from drpack.generators import GeneratorSpec, generate
 from drpack.harness import auto_penalties
-from drpack.linops import polytope_inequalities
+from drpack.linops import polytope_inequalities, polytope_linmax
 from drpack.objectives import (LinearObjective, MultilinearObjective,
                                QuadraticObjective, SetFunctionTable)
 
-from oracles import grid_max_on_box
+from oracles import grid_max_on_box, reference_offline_fw
 
 
 def linear_box_instance(seed=0, n=2, m=3):
@@ -71,14 +72,35 @@ def test_fw_matches_lp_on_linear_instances():
         inst = linear_box_instance(seed)
         _, value = offline_fw(inst, 500)
         assert value == pytest.approx(reference_lp_value(inst), rel=1e-6)
-    # adwords has simplex columns, so every step solves the LP; its gradient
-    # is constant, so every step returns the same LP vertex. At m=8 the
-    # budget rows bind; at n=5, m=4 the column sums do (optimum below n).
+    # adwords has simplex columns, so FW takes the LP path; its gradient is
+    # constant, so FW solves that LP once and steps to the same vertex K
+    # times. At m=8 the budget rows bind; at n=5, m=4 the column sums do
+    # (optimum below n).
     for (n, m), seed in itertools.product([(3, 8), (5, 4)], range(3)):
         inst = generate(GeneratorSpec("adwords", n, m, seed=seed))
         assert len(polytope_inequalities(inst.C, inst.sets)[1]) > inst.n
         _, value = offline_fw(inst, 50)
         assert value == pytest.approx(reference_lp_value(inst), rel=1e-9)
+
+
+def test_fw_solves_once_per_distinct_gradient(monkeypatch):
+    calls = []
+
+    def counting(region, G):
+        calls.append(G)
+        return polytope_linmax(region, G)
+
+    monkeypatch.setattr(baselines, "polytope_linmax", counting)
+    K = 50
+    # adwords is all-linear (one gradient); gap's multilinear gradient moves
+    for (family, n, m), solves in [(("adwords", 3, 8), 1), (("gap", 2, 6), K)]:
+        inst = generate(GeneratorSpec(family, n, m, seed=0))
+        assert len(polytope_inequalities(inst.C, inst.sets)[1]) > inst.n
+        calls.clear()
+        X, value = offline_fw(inst, K)
+        assert len(calls) == solves
+        X_ref, value_ref = reference_offline_fw(inst, K)
+        assert np.array_equal(X, X_ref) and value == value_ref
 
 
 def test_fw_separable_concave_reaches_grid_optimum():

@@ -289,6 +289,19 @@ def test_evaluate_flags_non_finite_load():
     assert any("row 0" in v for v in ev.violations)
 
 
+def test_evaluate_flags_non_finite_objective_value():
+    # finite data whose value overflows: 1e308 + 1e308 = inf at zero load
+    inst = OnlineInstance(np.zeros((1, 2)), [Box([1.0]), Box([1.0])],
+                          [LinearObjective([1e308, 1e308])])
+    pens = [PenaltyModel("single_constraint", 2.0, 1.0)]
+    with np.errstate(over="ignore"):
+        trace = run_online(inst, pens, EngineConfig(K=2))
+        ev = evaluate_trace(inst, pens, trace)
+    assert ev.alg == np.inf and ev.p_gseq == np.inf
+    assert ev.budget_ok and ev.sets_ok
+    assert [v.split()[1] for v in ev.violations] == ["alg", "p_gseq"]
+
+
 def test_evaluate_shape_mismatch():
     inst = two_step_instance()
     pens = [PenaltyModel("single_constraint", 2.0, 1.0)]

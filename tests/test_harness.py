@@ -180,6 +180,29 @@ def test_trace_round_trip_reproduces_values(tmp_path):
     assert uncosted > 0
 
 
+def test_files_carry_a_schema_version(tmp_path):
+    inst = generate(GeneratorSpec("adwords", 2, 5, seed=3))
+    trace = run_online(inst, auto_penalties(inst), EngineConfig(K=10))
+    files = [(inst, serialize.instance_to_json, serialize.instance_from_json),
+             (trace, serialize.trace_to_json, serialize.trace_from_json)]
+    for obj, write, read in files:
+        payload = write(obj)
+        assert payload["schema"] == serialize.SCHEMA_VERSION == 1
+        path = tmp_path / "file.json"
+        serialize.save_json(path, payload)
+        assert write(read(serialize.load_json(path))) == payload
+        for bad in (2, 0, "1", None):
+            with pytest.raises(ValueError, match="schema"):
+                read({**payload, "schema": bad})
+        with pytest.raises(ValueError, match="schema"):
+            read({k: v for k, v in payload.items() if k != "schema"})
+        with pytest.raises(ValueError, match="schema"):
+            read([payload])
+    path = tmp_path / "inst.json"
+    serialize.save_json(path, {**serialize.instance_to_json(inst), "schema": 2})
+    assert main(["run", "--instance", str(path), "--out", str(tmp_path / "t.json")]) == 2
+
+
 def test_penalty_round_trip():
     for p in (PenaltyModel("multi_constraint", 3.0, 1.0, 0.2), ZeroPenalty()):
         q = serialize.penalty_from_json(serialize.penalty_to_json(p))
