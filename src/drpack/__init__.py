@@ -10,8 +10,8 @@ from .engine import (DualPoint, EngineConfig, OnlineInstance, RunTrace,
 from .feasible import Box, Simplex
 from .generators import FAMILIES, GeneratorSpec, generate
 from .harness import (ExperimentResult, SeedRecord, auto_penalties,
-                      bound_report, data_driven_penalties, finite_k_slack,
-                      reproduce_table1, verify_bounds)
+                      bound_report, finite_k_slack, reproduce_table1,
+                      verify_bounds)
 from .objectives import (CurvatureReport, DrCheckResult, LinearObjective,
                          MultilinearObjective, QuadraticObjective,
                          SetFunctionTable, check_dr, estimate_alpha,
@@ -28,7 +28,7 @@ __all__ = [
     "PenaltyModel", "QuadraticObjective", "RunTrace", "SeedRecord",
     "SetFunctionTable", "Simplex", "ZeroPenalty", "auto_penalties",
     "bound_report", "brute_force_opt", "brute_grid_slack", "check_dr",
-    "compute_UL", "data_driven_penalties", "direction", "dual_grid_slack",
+    "compute_UL", "direction", "dual_grid_slack",
     "dual_objective", "estimate_alpha", "estimate_smoothness",
     "evaluate_trace", "finite_k_slack", "generate", "offline_fw",
     "prefix_grad_coord", "reproduce_table1", "row_loads", "run_online",

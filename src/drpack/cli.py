@@ -19,8 +19,7 @@ import numpy as np
 from . import serialize
 from .engine import EngineConfig, evaluate_trace, run_online
 from .generators import FAMILIES, GeneratorSpec, generate
-from .harness import (auto_penalties, bound_report, data_driven_penalties,
-                      reproduce_table1, verify_bounds)
+from .harness import auto_penalties, bound_report, reproduce_table1, verify_bounds
 
 
 def _cmd_generate(args) -> int:
@@ -36,9 +35,6 @@ def _cmd_run(args) -> int:
     instance = serialize.instance_from_json(serialize.load_json(args.instance))
     if args.penalty == "auto":
         penalties = auto_penalties(instance, args.epsilon)
-    elif args.penalty == "data":
-        penalties = data_driven_penalties(instance, args.epsilon,
-                                          EngineConfig(K=args.K))
     else:
         payload = serialize.load_json(args.penalty)
         penalties = [serialize.penalty_from_json(p) for p in payload["penalties"]]
@@ -110,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instance", required=True)
     p.add_argument("--K", type=int, default=50)
     p.add_argument("--penalty", default="auto",
-                   help="'auto', 'data', or a penalty JSON file")
+                   help="'auto' or a penalty JSON file")
     p.add_argument("--epsilon", type=float, default=0.0)
     p.add_argument("--overshoot-policy", default="cap_final_microstep",
                    choices=("cap_final_microstep", "allow_raw"))

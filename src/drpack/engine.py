@@ -96,7 +96,6 @@ class EngineConfig:
     K: int = 50
     overshoot_policy: str = "cap_final_microstep"
     budget_tol: float = 1e-9
-    record_inner: bool = False
 
     def __post_init__(self):
         if self.K < 1:
@@ -122,9 +121,8 @@ class RunTrace:
     dual: DualPoint
     config: EngineConfig
     penalties: list
-    ratio_min: np.ndarray              # realized value-to-weight extremes per row
-    ratio_max: np.ndarray
-    inner: list | None = None          # per step {"v": K x n, "d": K x n} if recorded
+    ratio_min: np.ndarray              # per row, extremes of grad_t H_i / c_it over
+    ratio_max: np.ndarray              # micro-steps with c_it > 0 (+inf / -inf if none)
 
 
 def direction(instance: OnlineInstance, penalties, omega, t: int) -> np.ndarray:
@@ -171,24 +169,16 @@ def run_online(instance: OnlineInstance, penalties, cfg: EngineConfig,
     caps = [p.load_cap for p in penalties]
     ratio_min = [math.inf] * n
     ratio_max = [-math.inf] * n
-    inner = [] if cfg.record_inner else None
     rows = range(n)
 
     for t, c_t, F_t in instance.arrivals():
         c = c_t.tolist()
         oracle = [obj.arrival_grad(omega[i], t) for i, obj in enumerate(instance.objectives)]
         x = [0.0] * n
-        rec_v = np.empty((K, n)) if cfg.record_inner else None
-        rec_d = np.empty((K, n)) if cfg.record_inner else None
         for k in range(K):
             g = [g0 + slope * x[i] for i, (g0, slope) in enumerate(oracle)]
-            for i in rows:
-                if c[i] > 0.0:
-                    r = g[i] / c[i]
-                    if r < ratio_min[i]:
-                        ratio_min[i] = r
-                    if r > ratio_max[i]:
-                        ratio_max[i] = r
+            if k == 0:
+                g_first = g
             d = _penalized(g, c, penalties, loads)
             v = F_t.linear_argmax(d)
             step = [vi / K for vi in v.tolist()]
@@ -204,12 +194,17 @@ def run_online(instance: OnlineInstance, penalties, cfg: EngineConfig,
             for i in rows:
                 x[i] += step[i]
                 loads[i] += c[i] * step[i]
-            if cfg.record_inner:
-                rec_d[k] = d
-                rec_v[k] = v
+        # x_i never decreases (v >= 0, gamma >= 0) and g0 + slope * x_i rounds
+        # monotonically, so each g_i / c_i is monotone over the micro-steps:
+        # its extremes are the first and the last micro-step's values
+        for i in rows:
+            if c[i] > 0.0:
+                for r in (g_first[i] / c[i], g[i] / c[i]):
+                    if r < ratio_min[i]:
+                        ratio_min[i] = r
+                    if r > ratio_max[i]:
+                        ratio_max[i] = r
         omega[:, t] = x
-        if cfg.record_inner:
-            inner.append({"v": rec_v, "d": rec_d})
         if on_step is not None:
             on_step(t, omega[:, t].copy())
 
@@ -226,7 +221,6 @@ def run_online(instance: OnlineInstance, penalties, cfg: EngineConfig,
         penalties=list(penalties),
         ratio_min=np.array(ratio_min),
         ratio_max=np.array(ratio_max),
-        inner=inner,
     )
 
 
@@ -235,7 +229,6 @@ class TraceEvaluation:
     alg: float
     p_gseq: float
     loads: np.ndarray
-    max_load: float
     budget_ok: bool
     sets_ok: bool
     violations: list = field(default_factory=list)
@@ -271,7 +264,6 @@ def evaluate_trace(instance: OnlineInstance, penalties,
         alg=alg,
         p_gseq=p_gseq,
         loads=loads,
-        max_load=float(np.max(loads)) if len(loads) else 0.0,
         budget_ok=budget_ok,
         sets_ok=sets_ok,
         violations=violations,

@@ -49,29 +49,6 @@ def auto_penalties(instance: OnlineInstance, epsilon: float = 0.0) -> list:
     return pens
 
 
-def data_driven_penalties(instance: OnlineInstance, epsilon: float = 0.0,
-                          cfg: EngineConfig | None = None) -> list:
-    """Tighten U/L to the value-to-weight ratios realized along a probe run.
-
-    A first pass runs with the conservative bounds; the ratios actually seen
-    on that trajectory then replace U and L (they can only shrink the gap).
-    """
-    pens = auto_penalties(instance, epsilon)
-    cfg = cfg or EngineConfig()
-    probe = run_online(instance, pens, cfg)
-    tightened = []
-    for i, p in enumerate(pens):
-        if isinstance(p, ZeroPenalty):
-            tightened.append(p)
-            continue
-        hi, lo = probe.ratio_max[i], probe.ratio_min[i]
-        if not np.isfinite(hi) or not np.isfinite(lo) or lo <= 0:
-            tightened.append(p)
-            continue
-        tightened.append(PenaltyModel(p.regime, float(hi), float(lo) * (1 - 1e-9), epsilon))
-    return tightened
-
-
 def finite_k_slack(instance: OnlineInstance, K: int) -> float:
     """Report-only slack L m lambda^2 / K by which bounds loosen at finite K."""
     boxes = instance.row_boxes()

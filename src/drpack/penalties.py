@@ -106,7 +106,6 @@ class BoundReport:
     epsilon: float = 0.0
     finite_k_slack: float | None = None
     empirical_cr: float | None = None
-    notes: list = field(default_factory=list)
 
 
 def theoretical_cr(regime: str, alphas, Us, Ls, epsilon: float = 0.0) -> BoundReport:
@@ -164,7 +163,8 @@ def compute_UL(obj, chat, domain_box) -> tuple[float, float]:
     L = float(np.min(inf[active] / chat[active]))
     if L <= 0.0:
         raise ValueError(
-            "lower value-to-weight bound is not positive; the objective is not "
-            "strictly increasing somewhere feasible (override with data-driven bounds)"
+            "lower value-to-weight bound is not positive: the gradient vanishes at "
+            "a feasible point (a quadratic_sec5 row's gradient does at the all-ones "
+            "corner when the budget admits it), and the penalties need L > 0"
         )
     return U, L * L_SHRINK

@@ -169,7 +169,6 @@ def bound_report_to_json(report) -> dict:
         "epsilon": report.epsilon,
         "finite_k_slack": report.finite_k_slack,
         "empirical_cr": report.empirical_cr,
-        "notes": list(report.notes),
     }
 
 

@@ -8,14 +8,17 @@ re-evaluates every gradient coordinate with `grad_coord` at each micro-step
 and against which the arrival-oracle engine is compared, and
 `reference_offline_fw`, which solves the linear maximization on every
 Frank-Wolfe step and against which the once-per-gradient baseline is compared.
+`recording` lets a test see each micro-step's direction and vertex without the
+solver keeping them.
 """
 
 import itertools
+import json
 import math
 
 import numpy as np
 
-from drpack.engine import DualPoint, RunTrace, row_loads
+from drpack.engine import DualPoint, OnlineInstance, RunTrace, row_loads
 from drpack.linops import polytope_inequalities, polytope_linmax
 
 
@@ -104,6 +107,15 @@ def grid_max_on_box(func, box, points=21):
     return best, arg
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def strict_json(text):
+    """json.loads that rejects the NaN and Infinity constants."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
 # ------------------------------------------------ reference micro-step loop
 
 def prefix_grad_coord(obj, omega, t: int) -> float:
@@ -137,12 +149,9 @@ def reference_run_online(instance, penalties, cfg, on_step=None):
     caps = np.array([p.load_cap for p in penalties])
     ratio_min = np.full(n, np.inf)
     ratio_max = np.full(n, -np.inf)
-    inner = [] if cfg.record_inner else None
 
     for t, c_t, F_t in instance.arrivals():
-        rec_v = np.empty((K, n)) if cfg.record_inner else None
-        rec_d = np.empty((K, n)) if cfg.record_inner else None
-        for k in range(K):
+        for _ in range(K):
             d = np.empty(n)
             for i in range(n):
                 g = prefix_grad_coord(instance.objectives[i], omega[i], t)
@@ -159,11 +168,6 @@ def reference_run_online(instance, penalties, cfg, on_step=None):
                 step = _cap_gamma(loads, caps, c_t * step) * step
             omega[:, t] += step
             loads += c_t * step
-            if cfg.record_inner:
-                rec_d[k] = d
-                rec_v[k] = v
-        if cfg.record_inner:
-            inner.append({"v": rec_v, "d": rec_d})
         if on_step is not None:
             on_step(t, omega[:, t].copy())
 
@@ -184,8 +188,34 @@ def reference_run_online(instance, penalties, cfg, on_step=None):
         penalties=list(penalties),
         ratio_min=ratio_min,
         ratio_max=ratio_max,
-        inner=inner,
     )
+
+
+class RecordingSet:
+    """Feasible set that appends each (d, v) of its linear_argmax to a log."""
+
+    def __init__(self, inner, log):
+        self._inner = inner
+        self._log = log
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+    def linear_argmax(self, d):
+        v = self._inner.linear_argmax(d)
+        self._log.append((np.array(d, dtype=float), np.array(v, dtype=float)))
+        return v
+
+
+def recording(instance):
+    """The instance with recording sets, and the log they share.
+
+    A run over the returned instance leaves one (direction, vertex) pair per
+    micro-step in the log, in the order the solver made them.
+    """
+    log = []
+    sets = [RecordingSet(s, log) for s in instance.sets]
+    return OnlineInstance(instance.C, sets, instance.objectives), log
 
 
 # ---------------------------------------------- reference offline Frank-Wolfe

@@ -8,7 +8,7 @@ from drpack.generators import FAMILIES, GeneratorSpec, generate
 from drpack.harness import auto_penalties
 from drpack.objectives import LinearObjective, QuadraticObjective
 from drpack.penalties import PenaltyModel, ZeroPenalty
-from oracles import reference_run_online
+from oracles import recording, reference_run_online
 
 
 def scalar_instance():
@@ -143,29 +143,26 @@ def _assert_close(a, b, rtol=1e-12):
     assert np.all(np.abs(a - b) <= rtol * np.maximum(np.abs(a), np.abs(b)))
 
 
-@pytest.mark.parametrize("record_inner", [False, True])
 @pytest.mark.parametrize("policy", ["cap_final_microstep", "allow_raw"])
 @pytest.mark.parametrize("spec", [
     *[GeneratorSpec(f, 1 if f == "knapsack_single" else 3, 8, seed=11) for f in FAMILIES],
     GeneratorSpec("knapsack_single", 1, 8, seed=11, params={"objective": "multilinear"}),
 ], ids=lambda s: s.family + "-" + s.params.get("objective", "default"))
-def test_engine_matches_reference_loop(spec, policy, record_inner):
+def test_engine_matches_reference_loop(spec, policy):
     inst = generate(spec)
     pens = auto_penalties(inst)
-    cfg = EngineConfig(K=40, overshoot_policy=policy, record_inner=record_inner)
-    new, ref = run_online(inst, pens, cfg), reference_run_online(inst, pens, cfg)
+    cfg = EngineConfig(K=40, overshoot_policy=policy)
+    (new_inst, new_steps), (ref_inst, ref_steps) = recording(inst), recording(inst)
+    new, ref = run_online(new_inst, pens, cfg), reference_run_online(ref_inst, pens, cfg)
     assert np.array_equal(new.allocations, ref.allocations)
     for a, b in [(new.loads, ref.loads), (new.alg, ref.alg), (new.p_gseq, ref.p_gseq),
                  (new.ratio_min, ref.ratio_min), (new.ratio_max, ref.ratio_max),
                  (new.dual.Y, ref.dual.Y), (new.dual.z, ref.dual.z)]:
         _assert_close(a, b)
-    if record_inner:
-        assert len(new.inner) == len(ref.inner) == inst.m
-        for rn, rr in zip(new.inner, ref.inner):
-            assert np.array_equal(rn["v"], rr["v"])
-            _assert_close(rn["d"], rr["d"])
-    else:
-        assert new.inner is None and ref.inner is None
+    assert len(new_steps) == len(ref_steps) == inst.m * cfg.K
+    for (d_new, v_new), (d_ref, v_ref) in zip(new_steps, ref_steps):
+        assert np.array_equal(v_new, v_ref)
+        _assert_close(d_new, d_ref)
 
 
 def test_capped_loads_never_exceed_budget():
@@ -190,7 +187,7 @@ def test_raw_overshoot_within_one_microstep():
 def test_saturated_rows_stop_loading():
     inst = two_step_instance()
     pens = [PenaltyModel("multi_constraint", 2.0, 2.0 * (1 - 1e-9))]
-    trace = run_online(inst, pens, EngineConfig(K=50, record_inner=True))
+    trace = run_online(inst, pens, EngineConfig(K=50))
     assert trace.loads[0] == pytest.approx(1.0, abs=1e-12)
     # once the load reaches 1 every subsequent inner step contributes nothing
     assert trace.allocations[0, 1] == 0.0
@@ -240,11 +237,12 @@ def test_realized_ratios_within_certified_bounds():
 def test_record_inner_matches_direction_recompute():
     inst = generate(GeneratorSpec("online_lp", 2, 5, seed=4))
     pens = auto_penalties(inst)
-    trace = run_online(inst, pens, EngineConfig(K=3, record_inner=True))
+    recorded, steps = recording(inst)
+    run_online(recorded, pens, EngineConfig(K=3))
     # replay: the recorded first-step direction at t=0 must equal direction()
     d0 = direction(inst, pens, np.zeros((2, 5)), 0)
-    assert np.allclose(trace.inner[0]["d"][0], d0, atol=1e-12)
-    assert len(trace.inner) == inst.m
+    assert np.allclose(steps[0][0], d0, atol=1e-12)
+    assert len(steps) == inst.m * 3
 
 
 # ----------------------------------------------------------- trace evaluation

@@ -7,10 +7,10 @@ from drpack import serialize
 from drpack.cli import main
 from drpack.engine import EngineConfig, evaluate_trace, run_online
 from drpack.generators import FAMILIES, GeneratorSpec, generate
-from drpack.harness import (auto_penalties, bound_report,
-                            data_driven_penalties, finite_k_slack,
-                            reproduce_table1, verify_bounds)
+from drpack.harness import (auto_penalties, finite_k_slack, reproduce_table1,
+                            verify_bounds)
 from drpack.penalties import PenaltyModel, ZeroPenalty
+from oracles import strict_json
 
 
 # ---------------------------------------------------------------- generators
@@ -80,14 +80,6 @@ def test_auto_penalties_regimes():
     assert all(p.regime == "multi_constraint" for p in multi)
 
 
-def test_data_driven_penalties_tighten():
-    inst = generate(GeneratorSpec("quadratic_sec5", 1, 12, seed=6))
-    base = auto_penalties(inst)
-    tight = data_driven_penalties(inst, cfg=EngineConfig(K=30))
-    assert tight[0].L >= base[0].L - 1e-12
-    assert tight[0].U <= max(inst.objectives[0].grad(np.zeros(12)) / inst.C[0]) + 1e-9
-
-
 def test_finite_k_slack_scales():
     inst = generate(GeneratorSpec("quadratic_sec5", 1, 10, seed=0))
     assert finite_k_slack(inst, 100) == pytest.approx(
@@ -150,10 +142,6 @@ def test_instance_round_trip_lossless(tmp_path):
             assert ob.value(x) == oa.value(x)
 
 
-def _reject_constant(name):
-    raise ValueError(f"non-standard JSON constant {name}")
-
-
 def test_trace_round_trip_reproduces_values(tmp_path):
     # welfare_simplex traces have rows without a costed step: their ratio
     # extremes are infinite and must round-trip through strict JSON
@@ -166,7 +154,7 @@ def test_trace_round_trip_reproduces_values(tmp_path):
         trace = run_online(inst, pens, EngineConfig(K=20))
         path = tmp_path / f"{spec.family}.json"
         serialize.save_json(path, serialize.trace_to_json(trace))
-        json.loads(path.read_text(), parse_constant=_reject_constant)
+        strict_json(path.read_text())
         back = serialize.trace_from_json(serialize.load_json(path))
         assert np.array_equal(back.allocations, trace.allocations)
         assert back.alg == trace.alg and back.p_gseq == trace.p_gseq
@@ -253,6 +241,18 @@ def test_cli_table_csv(tmp_path):
 def test_cli_verify_exit_code(tmp_path):
     assert main(["verify", "--family", "online_lp", "--trials", "2",
                  "--K", "150"]) == 0
+
+
+def test_cli_refuses_an_instance_whose_gradient_vanishes(tmp_path, capsys):
+    # quadratic_sec5 has h = -H.1, so its gradient is 0 at the all-ones corner;
+    # one column with cost <= 1 always fits the budget there, so L = 0
+    inst = tmp_path / "inst.json"
+    assert main(["generate", "--family", "quadratic_sec5", "--n", "1", "--m", "1",
+                 "--out", str(inst)]) == 0
+    assert main(["run", "--instance", str(inst), "--out", str(tmp_path / "t.json")]) == 2
+    err = capsys.readouterr().err
+    assert "not positive: the gradient vanishes at a feasible point" in err
+    assert "data-driven" not in err
 
 
 def test_cli_input_error_exit_code(tmp_path):

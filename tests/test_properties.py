@@ -9,10 +9,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from drpack import serialize
 from drpack.baselines import offline_fw
 from drpack.engine import EngineConfig, row_loads, run_online
 from drpack.generators import FAMILIES, GeneratorSpec, generate
 from drpack.harness import auto_penalties
+from oracles import strict_json
 
 TOL = 1e-12
 
@@ -50,18 +52,23 @@ def draw_instance(family, d):
     return generate(GeneratorSpec(family, n, d["m"], seed=d["seed"]))
 
 
-@pytest.mark.parametrize("family", FAMILIES)
-@settings(max_examples=60, deadline=None)
-@given(d=draws)
-def test_online_run_invariants(family, d):
-    inst = draw_instance(family, d)
+def draw_penalties(family, inst, epsilon):
+    """auto_penalties, with the draws it refuses discarded."""
     try:
-        pens = auto_penalties(inst, d["epsilon"])
+        return auto_penalties(inst, epsilon)
     except ValueError as exc:
         # a quadratic_sec5 row's gradient vanishes at the all-ones corner; when
         # the budget admits that corner, L is 0 and the instance is refused
         assert family == "quadratic_sec5" and "not positive" in str(exc)
         assume(False)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@settings(max_examples=60, deadline=None)
+@given(d=draws)
+def test_online_run_invariants(family, d):
+    inst = draw_instance(family, d)
+    pens = draw_penalties(family, inst, d["epsilon"])
     cfg = EngineConfig(K=d["K"])
     trace = run_online(inst, pens, cfg)
     X = trace.allocations
@@ -90,3 +97,51 @@ def test_offline_fw_stays_in_the_joint_polytope(family, d):
     for t, s in enumerate(inst.sets):
         assert s.contains(X[:, t], TOL)
     assert np.all(row_loads(inst.C, X) <= 1.0 + 1e-9)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@settings(max_examples=40, deadline=None)
+@given(d=draws)
+def test_ratio_extremes_lie_within_the_offline_bounds(family, d):
+    # at epsilon = 0 every micro-step starts inside the budgeted region that L
+    # is taken over, and an anti-tone gradient is largest at the origin
+    inst = draw_instance(family, d)
+    pens = draw_penalties(family, inst, 0.0)
+    trace = run_online(inst, pens, EngineConfig(K=d["K"]))
+    for i, obj in enumerate(inst.objectives):
+        costed = inst.C[i] > 0.0
+        if not np.any(costed):
+            continue
+        ceiling = np.max(obj.grad(np.zeros(inst.m))[costed] / inst.C[i, costed])
+        assert pens[i].L <= trace.ratio_min[i] <= trace.ratio_max[i] <= ceiling
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@settings(max_examples=25, deadline=None)
+@given(d=draws)
+def test_files_round_trip_losslessly(family, d, tmp_path_factory):
+    inst = draw_instance(family, d)
+    trace = run_online(inst, draw_penalties(family, inst, d["epsilon"]),
+                       EngineConfig(K=d["K"]))
+    path = tmp_path_factory.getbasetemp() / f"round_trip_{family}.json"
+
+    def round_trip(payload, read):
+        serialize.save_json(path, payload)
+        return read(strict_json(path.read_text()))
+
+    inst_payload = serialize.instance_to_json(inst)
+    assert serialize.instance_to_json(
+        round_trip(inst_payload, serialize.instance_from_json)) == inst_payload
+    trace_payload = serialize.trace_to_json(trace)
+    back = round_trip(trace_payload, serialize.trace_from_json)
+    assert serialize.trace_to_json(back) == trace_payload
+    for a, b in [(back.allocations, trace.allocations), (back.loads, trace.loads),
+                 (back.dual.Y, trace.dual.Y), (back.dual.z, trace.dual.z),
+                 (back.ratio_min, trace.ratio_min), (back.ratio_max, trace.ratio_max)]:
+        assert np.array_equal(a, b)
+    assert back.alg == trace.alg and back.p_gseq == trace.p_gseq
+    assert back.penalties == trace.penalties and back.config == trace.config
+    # a row without a costed step has infinite extremes, written as null
+    uncosted = (~np.any(inst.C > 0.0, axis=1)).tolist()
+    for key in ("ratio_min", "ratio_max"):
+        assert [v is None for v in trace_payload[key]] == uncosted
