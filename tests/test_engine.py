@@ -143,26 +143,34 @@ def _assert_close(a, b, rtol=1e-12):
     assert np.all(np.abs(a - b) <= rtol * np.maximum(np.abs(a), np.abs(b)))
 
 
+@pytest.mark.parametrize("recorded", [False, True])
 @pytest.mark.parametrize("policy", ["cap_final_microstep", "allow_raw"])
 @pytest.mark.parametrize("spec", [
     *[GeneratorSpec(f, 1 if f == "knapsack_single" else 3, 8, seed=11) for f in FAMILIES],
     GeneratorSpec("knapsack_single", 1, 8, seed=11, params={"objective": "multilinear"}),
 ], ids=lambda s: s.family + "-" + s.params.get("objective", "default"))
-def test_engine_matches_reference_loop(spec, policy):
+def test_engine_matches_reference_loop(spec, policy, recorded):
+    # recorded: both loops run through the recording sets and their (d, v)
+    # sequences are compared; otherwise both run on the bare instance, so the
+    # wrapper cannot hide a difference that only shows on the real sets
     inst = generate(spec)
     pens = auto_penalties(inst)
     cfg = EngineConfig(K=40, overshoot_policy=policy)
-    (new_inst, new_steps), (ref_inst, ref_steps) = recording(inst), recording(inst)
+    if recorded:
+        (new_inst, new_steps), (ref_inst, ref_steps) = recording(inst), recording(inst)
+    else:
+        new_inst = ref_inst = inst
     new, ref = run_online(new_inst, pens, cfg), reference_run_online(ref_inst, pens, cfg)
     assert np.array_equal(new.allocations, ref.allocations)
     for a, b in [(new.loads, ref.loads), (new.alg, ref.alg), (new.p_gseq, ref.p_gseq),
                  (new.ratio_min, ref.ratio_min), (new.ratio_max, ref.ratio_max),
                  (new.dual.Y, ref.dual.Y), (new.dual.z, ref.dual.z)]:
         _assert_close(a, b)
-    assert len(new_steps) == len(ref_steps) == inst.m * cfg.K
-    for (d_new, v_new), (d_ref, v_ref) in zip(new_steps, ref_steps):
-        assert np.array_equal(v_new, v_ref)
-        _assert_close(d_new, d_ref)
+    if recorded:
+        assert len(new_steps) == len(ref_steps) == inst.m * cfg.K
+        for (d_new, v_new), (d_ref, v_ref) in zip(new_steps, ref_steps):
+            assert np.array_equal(v_new, v_ref)
+            _assert_close(d_new, d_ref)
 
 
 def test_capped_loads_never_exceed_budget():
