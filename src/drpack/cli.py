@@ -55,8 +55,12 @@ def _cmd_bounds(args) -> int:
     payload["feasible"] = evaluation.budget_ok and evaluation.sets_ok
     payload["violations"] = evaluation.violations
     serialize.save_json(args.out, payload)
+    # the empirical CR is undefined (None, written as null) when the offline
+    # value is 0
+    empirical = ("undefined" if report.empirical_cr is None
+                 else f"{report.empirical_cr:.4f}")
     print(f"theoretical CR={report.theoretical_cr:.4f}  "
-          f"empirical CR={report.empirical_cr:.4f}  "
+          f"empirical CR={empirical}  "
           f"finite-K slack={report.finite_k_slack:.4g}  -> {args.out}")
     return 0 if payload["feasible"] else 1
 

@@ -11,8 +11,10 @@ at integral vertices.
 Behaviour that varies by kind lives on the classes: `domain_cap` caps every
 coordinate; `grad_range(chat, box) -> (sup, inf)` bounds each gradient
 coordinate over the budget face {0 <= x <= box, chat'x = 1} (sup) and over
-{0 <= x <= box, chat'x <= 1} (inf); `smoothness(box)` bounds the gradient's
-Lipschitz constant. The box passed to both is already capped.
+{0 <= x <= box, chat'x <= 1} (inf); `alpha_lower(chat, box)` is a certified
+lower bound, in closed form, on the curvature alpha over that second region;
+`smoothness(box)` bounds the gradient's Lipschitz constant. The box passed to
+all three is already capped.
 
 Each objective also has the arrival oracle used by the online solver,
 `arrival_grad(prefix_row, t) -> (g0, slope)`. While arrival t is open only
@@ -226,20 +228,36 @@ class QuadraticObjective:
         X = np.asarray(X, dtype=float)
         return X @ self.H + self.h[None, :]
 
+    def _max_drop(self, chat, box) -> np.ndarray:
+        """T_t = max -H[t]'x over {0 <= x <= box, chat'x <= 1}, so that
+        h_t - T_t is the least gradient coordinate t takes there."""
+        return np.array([-self.H[t] @ budget_linmax(-self.H[t], chat, box)
+                         for t in range(self.m)])
+
     def grad_range(self, chat, box) -> tuple[np.ndarray, np.ndarray]:
         # the gradient is affine, so each bound is an exact fractional knapsack
         face_feasible = chat @ box >= 1.0 - 1e-12
         sup = np.empty(self.m)
-        inf = np.empty(self.m)
         for t in range(self.m):
             if face_feasible:
                 x = budget_linmax(self.H[t], chat, box, equality=True)
             else:
                 x = np.zeros(self.m)  # anti-tone gradient peaks at the origin
             sup[t] = self.H[t] @ x + self.h[t]
-            x = budget_linmax(-self.H[t], chat, box)
-            inf[t] = self.H[t] @ x + self.h[t]
-        return sup, inf
+        return sup, self.h - self._max_drop(chat, box)
+
+    def alpha_lower(self, chat, box) -> float:
+        # With M = -H, l = h'u and q = u'Mu/2, the ratio minus one is
+        # -q/(l - q) = -rho/(1 - rho) for rho = q/l. Each (Mu)_j is at most
+        # T_j, so rho <= max_j T_j/(2 h_j) over the coordinates the box frees.
+        free = box > 0.0
+        if self.c0 != 0.0 or np.any(self.h[free] <= 0.0):
+            return -1.0
+        drop = self._max_drop(chat, box)[free]
+        rho = 0.5 * float(np.max(drop / self.h[free], initial=0.0))
+        if not rho < 0.5:  # the bound would reach -1 (or rho is nan)
+            return -1.0
+        return float(np.clip(-rho / (1.0 - rho), -1.0, 0.0))
 
     def smoothness(self, box) -> float:
         # the Hessian is constant: exact max row sum of |H|
@@ -287,6 +305,9 @@ class LinearObjective:
 
     def grad_range(self, chat, box) -> tuple[np.ndarray, np.ndarray]:
         return self.d, self.d
+
+    def alpha_lower(self, chat, box) -> float:
+        return 0.0  # <d, u>/<d, u> - 1 == 0 identically
 
     def smoothness(self, box) -> float:
         return 0.0
@@ -381,6 +402,11 @@ class MultilinearObjective:
         sup, inf = self.grad_many(np.stack([np.zeros(self.m), top]))
         return sup, inf
 
+    def alpha_lower(self, chat, box) -> float:
+        # <grad F(x), x> = E[sum_{j in R} f(j | R - j)] >= (1 - kappa) F(x) for
+        # R drawn with probabilities x, on the whole cube
+        return float(np.clip(-self.table.total_curvature(), -1.0, 0.0))
+
     def smoothness(self, box) -> float:
         # sampled, so not certified; it only feeds the finite-K slack report
         rng = np.random.default_rng(0)
@@ -456,10 +482,12 @@ def estimate_alpha(obj, chat, domain_box=None, *, samples: int = 2048,
     """Estimate inf <grad H(u), u>/H(u) - 1 over {u >= 0, chat'u <= 1, u in box}.
 
     Dense grid (dimension <= 4) plus random sampling, followed by multi-start
-    local descent. Points where H is below a small value floor are excluded to
-    avoid 0/0 at the origin. The sampled minimum upper-bounds the true infimum,
-    so the returned alpha is an optimistic (>= exact) estimate; it is clamped
-    to [-1, 0].
+    local descent (SLSQP). Points where H is below a small value floor are
+    excluded to avoid 0/0 at the origin. The sampled minimum upper-bounds the
+    true infimum, so the returned alpha is an optimistic (>= exact) estimate;
+    it is clamped to [-1, 0]. This is a diagnostic: bounds use the certified
+    `obj.alpha_lower(chat, box)`, the other end of the interval. Alpha is at
+    most 0, so when that certificate is 0 it is exact and returned unsampled.
     """
     from scipy.optimize import minimize
 
@@ -469,10 +497,11 @@ def estimate_alpha(obj, chat, domain_box=None, *, samples: int = 2048,
     box = np.ones(obj.m) if domain_box is None else np.asarray(domain_box, dtype=float)
     box = np.minimum(box, obj.domain_cap)
 
-    if obj.kind == "linear":
-        # <d, u>/<d, u> == 1 identically, so alpha = 0 exactly.
-        witness = np.minimum(box, 0.5 / np.maximum(chat, 1e-30))
-        return CurvatureReport(0.0, None, witness)
+    kappa = obj.table.total_curvature() if obj.kind == "multilinear" else None
+    if obj.alpha_lower(chat, box) == 0.0:
+        # every feasible point attains it; this one has chat'u <= 1/2
+        witness = np.minimum(box, 0.5 / obj.m / np.maximum(chat, 1e-30))
+        return CurvatureReport(0.0, kappa, witness)
 
     corner_value = obj.value(box)
     if corner_value <= 0.0:
@@ -533,7 +562,6 @@ def estimate_alpha(obj, chat, domain_box=None, *, samples: int = 2048,
             best_ratio, best_point = r, u
 
     alpha = float(np.clip(best_ratio - 1.0, -1.0, 0.0))
-    kappa = obj.table.total_curvature() if obj.kind == "multilinear" else None
     return CurvatureReport(alpha, kappa, best_point)
 
 

@@ -188,9 +188,10 @@ def test_criterion_6_curvature_relation():
 def test_criterion_7_feasibility_everywhere():
     # Budget caps and set membership are structural (the crossing micro-step
     # is scaled back), so they must hold at every K including the degenerate
-    # K=1. The penalized objective is non-negative up to the finite-K slack
-    # L m lambda^2 / K; at K=1 that term can dominate (observed only there),
-    # so its sign is asserted over the operating range K >= 2.
+    # K=1. The penalized objective is non-negative up to the O(1/K) remainder
+    # `finite_k_slack` (objective and penalty curvature); at K=1 that term can
+    # dominate (observed only there), so its sign is asserted over the
+    # operating range K >= 2.
     ok = True
     runs = 0
     worst_load = 0.0

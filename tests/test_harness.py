@@ -5,10 +5,12 @@ import pytest
 
 from drpack import serialize
 from drpack.cli import main
-from drpack.engine import EngineConfig, evaluate_trace, run_online
+from drpack.engine import EngineConfig, OnlineInstance, evaluate_trace, run_online
+from drpack.feasible import Box
 from drpack.generators import FAMILIES, GeneratorSpec, generate
 from drpack.harness import (auto_penalties, finite_k_slack, reproduce_table1,
                             verify_bounds)
+from drpack.objectives import LinearObjective
 from drpack.penalties import PenaltyModel, ZeroPenalty
 from oracles import strict_json
 
@@ -82,8 +84,9 @@ def test_auto_penalties_regimes():
 
 def test_finite_k_slack_scales():
     inst = generate(GeneratorSpec("quadratic_sec5", 1, 10, seed=0))
-    assert finite_k_slack(inst, 100) == pytest.approx(
-        10.0 * finite_k_slack(inst, 1000))
+    pens = auto_penalties(inst)
+    assert finite_k_slack(inst, pens, 100) == pytest.approx(
+        10.0 * finite_k_slack(inst, pens, 1000))
 
 
 # --------------------------------------------------------------- experiments
@@ -253,6 +256,29 @@ def test_cli_refuses_an_instance_whose_gradient_vanishes(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "not positive: the gradient vanishes at a feasible point" in err
     assert "data-driven" not in err
+
+
+def test_cli_bounds_with_a_zero_offline_value(tmp_path, capsys):
+    # a zero objective makes the offline value 0, so the empirical CR is
+    # undefined: printed as such, written as null, exit code by feasibility
+    inst = tmp_path / "inst.json"
+    pen = tmp_path / "pen.json"
+    trace = tmp_path / "trace.json"
+    report = tmp_path / "report.json"
+    zero = OnlineInstance(np.array([[1.0, 1.0]]), [Box([1.0]), Box([1.0])],
+                          [LinearObjective([0.0, 0.0])])
+    serialize.save_json(inst, serialize.instance_to_json(zero))
+    pen.write_text(json.dumps({"penalties": [
+        {"regime": "single_constraint", "U": 1.0, "L": 1.0, "epsilon": 0.0}]}))
+    assert main(["run", "--instance", str(inst), "--K", "5",
+                 "--penalty", str(pen), "--out", str(trace)]) == 0
+    assert main(["bounds", "--instance", str(inst), "--trace", str(trace),
+                 "--out", str(report)]) == 0
+    assert "empirical CR=undefined" in capsys.readouterr().out
+    payload = strict_json(report.read_text())
+    assert payload["empirical_cr"] is None
+    assert payload["feasible"]
+    assert payload["alpha_used"] == [0.0]
 
 
 def test_cli_input_error_exit_code(tmp_path):

@@ -249,6 +249,8 @@ def test_check_dr_zoo_thousand_pairs():
 def test_alpha_linear_exact_zero():
     rep = estimate_alpha(LinearObjective([1.0, 3.0]), [1.0, 1.0])
     assert rep.alpha == 0.0
+    rep = estimate_alpha(LinearObjective(np.ones(4)), np.ones(4))
+    assert rep.alpha == 0.0 and np.ones(4) @ rep.witness <= 1.0
 
 
 def test_alpha_coverage_one_third():
@@ -291,6 +293,38 @@ def test_alpha_rejects_degenerate_objective():
     flat = QuadraticObjective([[0.0]], [0.0])
     with pytest.raises(ValueError):
         estimate_alpha(flat, [1.0])
+
+
+def test_alpha_lower_linear_is_exactly_zero():
+    assert LinearObjective([1.0, 3.0]).alpha_lower(np.ones(2), np.ones(2)) == 0.0
+
+
+def test_alpha_lower_multilinear_is_minus_kappa():
+    # coverage with kappa = 1 certifies only -1; its sampled alpha is -1/3
+    F = MultilinearObjective(coverage_pair())
+    assert F.alpha_lower(np.ones(2), np.ones(2)) == -1.0
+    tab = SetFunctionTable.concave_of_modular([[1.0, 0.5, 0.25]], [1.0])
+    F = MultilinearObjective(tab)
+    assert F.alpha_lower(np.ones(3), np.ones(3)) == pytest.approx(-tab.total_curvature())
+
+
+def test_alpha_lower_one_dim_quadratics_are_exact():
+    # H = -a, h = 1 on [0, 1]: T = a, rho = a/2 and the ratio - 1 is least at
+    # u = 1, where it equals -(a/2)/(1 - a/2); at a = 1, rho reaches 1/2
+    q = QuadraticObjective([[-1.0]], [1.0])
+    assert q.alpha_lower(np.ones(1), np.ones(1)) == -1.0
+    q = QuadraticObjective([[-0.5]], [1.0])
+    assert q.alpha_lower(np.ones(1), np.ones(1)) == pytest.approx(-1.0 / 3.0, abs=1e-15)
+    assert estimate_alpha(q, [1.0]).alpha == pytest.approx(-1.0 / 3.0, abs=1e-9)
+
+
+def test_alpha_lower_quadratic_falls_back_to_minus_one():
+    H = [[-0.1, 0.0], [0.0, -0.1]]
+    assert QuadraticObjective(H, [1.0, 1.0]).alpha_lower(np.ones(2), np.ones(2)) > -1.0
+    assert QuadraticObjective(H, [1.0, 1.0], c0=0.5).alpha_lower(np.ones(2), np.ones(2)) == -1.0
+    assert QuadraticObjective(H, [1.0, 0.0]).alpha_lower(np.ones(2), np.ones(2)) == -1.0
+    # a coordinate the box pins at 0 never moves, so its h does not matter
+    assert QuadraticObjective(H, [1.0, 0.0]).alpha_lower(np.ones(2), np.array([1.0, 0.0])) > -1.0
 
 
 # ----------------------------------------------------------- set functions

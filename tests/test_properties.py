@@ -1,4 +1,5 @@
-"""Property tests of the engine invariants over every generator family.
+"""Property tests of the engine invariants, and of the certified curvature
+bound, over every generator family.
 
 Hypothesis draws the instance size, the seed, the relaxation epsilon and the
 number of micro-steps; each property must hold on every draw.
@@ -13,7 +14,8 @@ from drpack import serialize
 from drpack.baselines import offline_fw
 from drpack.engine import EngineConfig, row_loads, run_online
 from drpack.generators import FAMILIES, GeneratorSpec, generate
-from drpack.harness import auto_penalties
+from drpack.harness import auto_penalties, finite_k_slack
+from drpack.objectives import VALUE_FLOOR, estimate_alpha
 from oracles import strict_json
 
 TOL = 1e-12
@@ -25,26 +27,6 @@ draws = st.fixed_dictionaries({
     "epsilon": st.sampled_from([0.0, 0.2]),
     "K": st.integers(1, 20),
 })
-
-
-def p_floor(inst, pens, K, h=1e-6):
-    """Lower bound on P - P(0) after a run with K micro-steps per arrival.
-
-    A micro-step moves row i's coordinate t by s_i in [0, cap_it / K]. Its
-    first-order gain (g + c G') . s is >= 0, since the linear maximizer over a
-    set that contains 0 does at least as well as 0. Its Taylor remainder is at
-    least -(|d_tt H_i| + c_it^2 |G_i''|) s_i^2 / 2, where d_tt H_i is constant
-    (H[t, t] for a quadratic, 0 for linear and multilinear rows) and |G_i''|
-    grows with the load, so the secant slope of G_i' just past the cap bounds
-    it on [0, cap]. Summed over the K micro-steps of each arrival: O(1/K).
-    """
-    caps = inst.row_boxes()
-    total = 0.0
-    for i, (obj, p) in enumerate(zip(inst.objectives, pens)):
-        h_tt = np.abs(np.diag(obj.hessian(np.zeros(inst.m))))
-        g2 = (p.derivative(p.load_cap) - p.derivative(p.load_cap + h)) / h
-        total += float(np.sum((h_tt + inst.C[i] ** 2 * g2) * caps[i] ** 2))
-    return total / (2 * K)
 
 
 def draw_instance(family, d):
@@ -79,7 +61,7 @@ def test_online_run_invariants(family, d):
     # P >= P(0) holds only up to the O(1/K) remainder: at K = 1, quadratic_sec5
     # n=1 m=5 seed=1 epsilon=0.2 ends at P = -22.9 against a floor of -7.1e3
     p0 = inst.value(np.zeros((inst.n, inst.m)))
-    assert trace.p_gseq >= p0 - p_floor(inst, pens, cfg.K)
+    assert trace.p_gseq >= p0 - finite_k_slack(inst, pens, cfg.K)
     again = run_online(inst, pens, cfg)
     assert np.array_equal(again.allocations, X)
     assert np.array_equal(again.loads, trace.loads)
@@ -145,3 +127,38 @@ def test_files_round_trip_losslessly(family, d, tmp_path_factory):
     uncosted = (~np.any(inst.C > 0.0, axis=1)).tolist()
     for key in ("ratio_min", "ratio_max"):
         assert [v is None for v in trace_payload[key]] == uncosted
+
+
+def feasible_points(chat, box, rng, count=256):
+    """Uniform points of the box scaled into {chat'u <= 1}, and the same
+    points moved onto the face chat'u = 1 where that stays in the box."""
+    raw = rng.uniform(0.0, box, size=(count, len(box)))
+    budget = raw @ chat
+    inside = raw * np.minimum(1.0, 1.0 / np.maximum(budget, 1e-30))[:, None]
+    face = raw / np.maximum(budget, 1e-30)[:, None]
+    face = face[(budget > 1e-30) & np.all(face <= box + 1e-12, axis=1)]
+    return np.vstack([inside, face])
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@settings(max_examples=8, deadline=None)
+@given(d=draws)
+def test_certified_alpha_lies_below_every_sampled_ratio(family, d):
+    inst = draw_instance(family, d)
+    boxes = inst.row_boxes()
+    rng = np.random.default_rng(d["seed"])
+    for i, obj in enumerate(inst.objectives):
+        chat = inst.C[i]
+        if not np.any(chat > 0.0):
+            continue
+        box = np.minimum(boxes[i], obj.domain_cap)
+        lower = obj.alpha_lower(chat, box)
+        assert -1.0 <= lower <= 0.0
+        pts = feasible_points(chat, box, rng)
+        vals = obj.value_many(pts)
+        keep = vals > VALUE_FLOOR * max(obj.value(box), 0.0)
+        if not np.any(keep):
+            continue  # the objective vanishes on the region
+        ratios = np.einsum("ij,ij->i", obj.grad_many(pts[keep]), pts[keep]) / vals[keep]
+        assert lower <= float(np.min(ratios)) - 1.0 + 1e-9
+        assert lower <= estimate_alpha(obj, chat, box, refinements=2).alpha + 1e-12
