@@ -12,7 +12,7 @@ on tiny instances.
 import numpy as np
 
 from .engine import DualPoint, OnlineInstance
-from .linops import polytope_inequalities, polytope_linmax
+from .linops import polytope_inequalities, polytope_linmax, vertex_is_optimal
 
 BRUTE_MAX_VARS = 6
 BRUTE_MAX_GRID = 21
@@ -23,10 +23,12 @@ def offline_fw(instance: OnlineInstance, K_off: int) -> tuple[np.ndarray, float]
 
     Runs K_off iterations of X <- X + v/K_off where v maximizes the linearized
     objective over the joint polytope. The polytope is built once per call and
-    every iteration's linear maximization reuses it. The maximization runs once
-    per distinct gradient: an iteration whose gradient equals the previous one
-    exactly reuses its vertex, so an all-linear instance solves a single LP.
-    The output is an average of polytope points, hence feasible.
+    every iteration's linear maximization reuses it. An iteration keeps the
+    previous vertex when its gradient equals the previous one exactly (so an
+    all-linear instance solves a single LP) or, on the LP path, when
+    `vertex_is_optimal` certifies the vertex for the new gradient by KKT
+    multipliers; only the other iterations solve the maximization. The output
+    is an average of polytope points, hence feasible.
     """
     if K_off < 1:
         raise ValueError("K_off must be >= 1")
@@ -35,8 +37,10 @@ def offline_fw(instance: OnlineInstance, K_off: int) -> tuple[np.ndarray, float]
     G_last = v = None
     for _ in range(K_off):
         G = instance.grad(X)
-        if G_last is None or not np.array_equal(G, G_last):
-            G_last, v = G, polytope_linmax(region, G)
+        if G_last is None or not (np.array_equal(G, G_last)
+                                  or vertex_is_optimal(region, v, G)):
+            v = polytope_linmax(region, G)
+        G_last = G
         X += v / K_off
     return X, instance.value(X)
 

@@ -103,7 +103,7 @@ def bound_report(instance: OnlineInstance, penalties, trace: RunTrace,
     regime = _regime_for(instance.n)
     report = theoretical_cr(regime, alphas, Us, Ls, eps)
     if fw_value is None:
-        _, fw_value = offline_fw(instance, K_off or trace.config.K)
+        _, fw_value = offline_fw(instance, trace.config.K if K_off is None else K_off)
     empirical = trace.alg / fw_value if fw_value > 1e-12 else None
     return replace(
         report,

@@ -8,6 +8,10 @@ import numpy as np
 from .feasible import Box
 
 _EPS = 1e-12
+# vertex_is_optimal: a constraint within _ACTIVE_TOL of its bound counts as
+# tight, and the multipliers must rebuild G to _KKT_RTOL * |G|
+_ACTIVE_TOL = 1e-9
+_KKT_RTOL = 1e-12
 
 
 def budget_linmax(g, c, ub, *, equality: bool = False) -> np.ndarray:
@@ -82,3 +86,33 @@ def polytope_linmax(region, G) -> np.ndarray:
     if not res.success:
         raise RuntimeError(f"inner LP failed: {res.message}")
     return res.x.reshape(n, m)
+
+
+def vertex_is_optimal(region, v, G) -> bool:
+    """True when a KKT certificate proves v an argmax of <G, X> over the LP
+    region (A, b, caps) from `polytope_inequalities`.
+
+    With the constraints tight at v (rows with A v >= b - tol, caps with
+    v >= cap - tol, zero bounds with v <= tol), non-negative least squares
+    looks for multipliers with G = A_act' lam + mu_up - mu_lo; a residual of
+    at most 1e-12 |G| certifies v. The closed-form region (box columns only)
+    is never checked: `polytope_linmax` is cheaper there than the check.
+    """
+    A, b, caps = region
+    G = np.asarray(G, dtype=float)
+    if len(b) == G.shape[0]:
+        return False
+    g = G.ravel()
+    x = np.asarray(v, dtype=float).ravel()
+    eye = np.eye(len(g))
+    M = np.hstack([A[A @ x >= b - _ACTIVE_TOL].T,
+                   eye[:, x >= caps - _ACTIVE_TOL], -eye[:, x <= _ACTIVE_TOL]])
+    if M.shape[1] == 0:  # nothing tight (nnls aborts on an empty matrix)
+        return not np.any(g)
+    from scipy.optimize import nnls
+
+    try:
+        _, residual = nnls(M, g)
+    except RuntimeError:  # iteration limit: no certificate, solve the LP
+        return False
+    return bool(residual <= _KKT_RTOL * np.linalg.norm(g))

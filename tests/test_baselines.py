@@ -12,7 +12,8 @@ from drpack.engine import DualPoint, EngineConfig, OnlineInstance, run_online
 from drpack.feasible import Box, Simplex
 from drpack.generators import GeneratorSpec, generate
 from drpack.harness import auto_penalties
-from drpack.linops import polytope_inequalities, polytope_linmax
+from drpack.linops import (polytope_inequalities, polytope_linmax,
+                           vertex_is_optimal)
 from drpack.objectives import (LinearObjective, MultilinearObjective,
                                QuadraticObjective, SetFunctionTable)
 
@@ -92,15 +93,73 @@ def test_fw_solves_once_per_distinct_gradient(monkeypatch):
 
     monkeypatch.setattr(baselines, "polytope_linmax", counting)
     K = 50
-    # adwords is all-linear (one gradient); gap's multilinear gradient moves
-    for (family, n, m), solves in [(("adwords", 3, 8), 1), (("gap", 2, 6), K)]:
+    # adwords is all-linear: one gradient, one LP, and the same X bit for bit
+    inst = generate(GeneratorSpec("adwords", 3, 8, seed=0))
+    X, value = offline_fw(inst, K)
+    assert len(calls) == 1
+    X_ref, value_ref = reference_offline_fw(inst, K)
+    assert np.array_equal(X, X_ref) and value == value_ref
+    # the multilinear gradients of gap and welfare_simplex move at every step,
+    # but a KKT certificate keeps the last vertex while it stays optimal. X
+    # then differs from re-solving only by HiGHS's last-bit noise on the same
+    # vertex, not bit for bit.
+    for family, n, m in [("gap", 2, 6), ("welfare_simplex", 3, 5)]:
         inst = generate(GeneratorSpec(family, n, m, seed=0))
         assert len(polytope_inequalities(inst.C, inst.sets)[1]) > inst.n
         calls.clear()
         X, value = offline_fw(inst, K)
-        assert len(calls) == solves
+        assert 1 <= len(calls) < K
         X_ref, value_ref = reference_offline_fw(inst, K)
-        assert np.array_equal(X, X_ref) and value == value_ref
+        assert np.max(np.abs(X - X_ref)) <= 1e-12
+        assert value == pytest.approx(value_ref, rel=1e-12, abs=0.0)
+
+
+def simplex_pair_region():
+    # x = (x00, x01, x10, x11): budget rows 0.5 x_i0 + 0.5 x_i1 <= 1, column
+    # sums x_0t + x_1t <= 1, caps 1
+    inst = OnlineInstance(np.full((2, 2), 0.5), [Simplex(2, 1.0), Simplex(2, 1.0)],
+                          [LinearObjective([1.0, 1.0]) for _ in range(2)])
+    return polytope_inequalities(inst.C, inst.sets)
+
+
+def test_certificate_keeps_a_vertex_only_while_it_stays_optimal():
+    region = simplex_pair_region()
+    G = np.array([[2.0, 1.0], [1.0, 2.0]])
+    v = polytope_linmax(region, G)
+    assert np.allclose(v, np.eye(2))
+    assert vertex_is_optimal(region, v, G)
+    assert vertex_is_optimal(region, v, G + [[0.3, -0.2], [0.1, -0.4]])
+    # the rotated gradient prefers the other diagonal; tilting one row is
+    # enough too, since row 0 then fills both of its columns
+    for moved in (G[:, ::-1], np.array([[1.0, 3.0], [1.0, 2.0]])):
+        assert np.sum(moved * polytope_linmax(region, moved)) > np.sum(moved * v) + 0.5
+        assert not vertex_is_optimal(region, v, moved)
+
+
+def test_certificate_is_never_consulted_on_a_box_only_region():
+    # all-box regions take the closed form, which is cheaper than the check
+    inst = linear_box_instance()
+    region = polytope_inequalities(inst.C, inst.sets)
+    assert len(region[1]) == inst.n
+    G = np.stack([obj.d for obj in inst.objectives])
+    assert not vertex_is_optimal(region, polytope_linmax(region, G), G)
+
+
+def test_certificate_never_accepts_a_suboptimal_vertex():
+    rng = np.random.default_rng(5)
+    accepted = 0
+    for family, n, m in [("gap", 3, 5), ("welfare_simplex", 2, 6), ("adwords", 3, 6)]:
+        inst = generate(GeneratorSpec(family, n, m, seed=3))
+        region = polytope_inequalities(inst.C, inst.sets)
+        for scale in (1e-6, 1e-3, 0.1, 1.0):
+            G = rng.uniform(0.1, 1.0, (n, m))
+            v = polytope_linmax(region, G)
+            moved = G * (1.0 + scale * rng.uniform(-1.0, 1.0, (n, m)))
+            if vertex_is_optimal(region, v, moved):
+                accepted += 1
+                best = polytope_linmax(region, moved)
+                assert np.sum(moved * v) >= np.sum(moved * best) * (1.0 - 1e-9)
+    assert accepted >= 3  # the small moves keep the vertex
 
 
 def test_fw_separable_concave_reaches_grid_optimum():

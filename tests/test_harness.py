@@ -127,6 +127,14 @@ def test_verify_bounds_gap_family():
     assert all(c["passed"] for c in rep["checks"])
 
 
+def test_verify_bounds_gap_family_at_k1000():
+    # the `drpack verify` default K: 1000 offline Frank-Wolfe steps per
+    # instance, affordable because a certified vertex skips its LP
+    rep = verify_bounds("gap", trials=5, K=1000)
+    assert rep["ok"], rep["checks"]
+    assert [c["passed"] for c in rep["checks"]] == [True] * 5
+
+
 # -------------------------------------------------------------- serialization
 
 def test_instance_round_trip_lossless(tmp_path):
@@ -279,6 +287,22 @@ def test_cli_bounds_with_a_zero_offline_value(tmp_path, capsys):
     assert payload["empirical_cr"] is None
     assert payload["feasible"]
     assert payload["alpha_used"] == [0.0]
+
+
+@pytest.mark.parametrize("k_off", ["0", "-3"])
+def test_cli_bounds_refuses_a_nonpositive_k_off(tmp_path, capsys, k_off):
+    # 0 is an input error like any other K_off < 1, not "use the run's K"
+    inst = tmp_path / "inst.json"
+    trace = tmp_path / "trace.json"
+    report = tmp_path / "report.json"
+    assert main(["generate", "--family", "gap", "--n", "2", "--m", "4",
+                 "--out", str(inst)]) == 0
+    assert main(["run", "--instance", str(inst), "--K", "20",
+                 "--out", str(trace)]) == 0
+    assert main(["bounds", "--instance", str(inst), "--trace", str(trace),
+                 "--K-off", k_off, "--out", str(report)]) == 2
+    assert "K_off must be >= 1" in capsys.readouterr().err
+    assert not report.exists()
 
 
 def test_cli_input_error_exit_code(tmp_path):

@@ -1,8 +1,9 @@
-"""Property tests of the engine invariants, and of the certified curvature
-bound, over every generator family.
+"""Property tests of the engine invariants (online information discipline
+included), and of the certified curvature bound, over every generator family.
 
 Hypothesis draws the instance size, the seed, the relaxation epsilon and the
-number of micro-steps; each property must hold on every draw.
+number of micro-steps (and, for the discipline test, the arrival after which
+costs change); each property must hold on every draw.
 """
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from drpack import serialize
 from drpack.baselines import offline_fw
-from drpack.engine import EngineConfig, row_loads, run_online
+from drpack.engine import EngineConfig, OnlineInstance, row_loads, run_online
 from drpack.generators import FAMILIES, GeneratorSpec, generate
 from drpack.harness import auto_penalties, finite_k_slack
 from drpack.objectives import VALUE_FLOOR, estimate_alpha
@@ -66,6 +67,24 @@ def test_online_run_invariants(family, d):
     assert np.array_equal(again.allocations, X)
     assert np.array_equal(again.loads, trace.loads)
     assert again.alg == trace.alg and again.p_gseq == trace.p_gseq
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@settings(max_examples=60, deadline=None)
+@given(d=draws, data=st.data())
+def test_online_columns_ignore_future_costs(family, d, data):
+    # column t is committed before arrival t + 1 is read, so rescaling the
+    # cost columns after t cannot move columns 0..t
+    inst = draw_instance(family, d)
+    pens = draw_penalties(family, inst, d["epsilon"])
+    t = data.draw(st.integers(0, inst.m - 1), label="t")
+    factors = np.ones(inst.m)
+    factors[t + 1:] = np.random.default_rng(d["seed"]).uniform(0.5, 2.0, inst.m - t - 1)
+    rescaled = OnlineInstance(inst.C * factors, inst.sets, inst.objectives)
+    cfg = EngineConfig(K=d["K"])
+    X = run_online(inst, pens, cfg).allocations
+    Y = run_online(rescaled, pens, cfg).allocations
+    assert np.array_equal(X[:, :t + 1], Y[:, :t + 1])
 
 
 @pytest.mark.parametrize("family", FAMILIES)
