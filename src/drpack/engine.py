@@ -11,8 +11,10 @@ so the solver never peeks at future costs, sets, or gradient coordinates.
 While arrival t is open only coordinate t of each row moves, so row i's
 gradient coordinate is affine in x_{i,t}: g0 + slope * x_{i,t}. The
 objective's arrival oracle `arrival_grad` returns (g0, slope) from the
-committed prefix once per row and arrival; each micro-step is then O(n)
-scalar work plus one linear maximization over F_t.
+committed prefix once per row and arrival. A row whose step was zero keeps
+the same x_{i,t} and load, so its direction entry cannot change: each
+micro-step recomputes only the rows the previous micro-step moved (one on a
+simplex arrival), plus one linear maximization over F_t.
 
 With the default overshoot policy the micro-step that would cross a budget
 boundary is scaled back to land exactly on it, which keeps every row load at
@@ -134,13 +136,14 @@ def direction(instance: OnlineInstance, penalties, omega, t: int) -> np.ndarray:
     """
     omega = np.asarray(omega, dtype=float)
     loads = row_loads(instance.C[:, : t + 1], omega[:, : t + 1])
-    g = [prefix_grad_coord(obj, omega[i], t) for i, obj in enumerate(instance.objectives)]
-    return _penalized(g, instance.C[:, t].tolist(), penalties, loads)
+    c = instance.C[:, t].tolist()
+    return np.array([_entry(prefix_grad_coord(obj, omega[i], t), c[i], penalties[i], loads[i])
+                     for i, obj in enumerate(instance.objectives)])
 
 
-def _penalized(g, c, penalties, loads) -> np.ndarray:
-    """Direction entries g_i + c_i G'_i(load_i) from gradient coordinates g."""
-    return np.array([g[i] + c[i] * penalties[i].derivative(loads[i]) for i in range(len(g))])
+def _entry(g_i: float, c_i: float, penalty, load_i: float) -> float:
+    """Direction entry g_i + c_i G'_i(load_i) of a row with gradient coordinate g_i."""
+    return g_i + c_i * penalty.derivative(load_i)
 
 
 def _totals(instance: OnlineInstance, penalties, X) -> tuple[np.ndarray, float, float]:
@@ -167,6 +170,7 @@ def run_online(instance: OnlineInstance, penalties, cfg: EngineConfig,
     omega = np.zeros((n, m))
     loads = [0.0] * n
     caps = [p.load_cap for p in penalties]
+    bounded = [math.isfinite(cap) for cap in caps]
     ratio_min = [math.inf] * n
     ratio_max = [-math.inf] * n
     rows = range(n)
@@ -175,25 +179,36 @@ def run_online(instance: OnlineInstance, penalties, cfg: EngineConfig,
         c = c_t.tolist()
         oracle = [obj.arrival_grad(omega[i], t) for i, obj in enumerate(instance.objectives)]
         x = [0.0] * n
-        for k in range(K):
-            g = [g0 + slope * x[i] for i, (g0, slope) in enumerate(oracle)]
-            if k == 0:
-                g_first = g
-            d = _penalized(g, c, penalties, loads)
+        g = [g0 + slope * x[i] for i, (g0, slope) in enumerate(oracle)]
+        g_first = g.copy()
+        d = np.array([_entry(g[i], c[i], penalties[i], loads[i]) for i in rows])
+        moved = []
+        for _ in range(K):
+            # rows the previous micro-step left alone keep their entries; moved
+            # rows are recomputed here, not after the step, so that g ends the
+            # arrival as the last micro-step's gradient (the ratio extremes)
+            for i in moved:
+                g0, slope = oracle[i]
+                g[i] = g0 + slope * x[i]
+                d[i] = _entry(g[i], c[i], penalties[i], loads[i])
             v = F_t.linear_argmax(d)
-            step = [vi / K for vi in v.tolist()]
+            step = [(i, vi / K) for i, vi in enumerate(v.tolist()) if vi]
             if capped:
                 # scale the step back so that no finite cap is crossed
                 gamma = 1.0
-                for i in rows:
-                    inc = c[i] * step[i]
-                    if inc > 0.0 and math.isfinite(caps[i]):
+                for i, s in step:
+                    inc = c[i] * s
+                    if inc > 0.0 and bounded[i]:
                         gamma = min(gamma, (caps[i] - loads[i]) / inc)
-                gamma = max(0.0, gamma)
-                step = [gamma * s for s in step]
-            for i in rows:
-                x[i] += step[i]
-                loads[i] += c[i] * step[i]
+                if gamma != 1.0:
+                    gamma = max(0.0, gamma)
+                    step = [(i, gamma * s) for i, s in step]
+            moved = []
+            for i, s in step:
+                if s:
+                    x[i] += s
+                    loads[i] += c[i] * s
+                    moved.append(i)
         # x_i never decreases (v >= 0, gamma >= 0) and g0 + slope * x_i rounds
         # monotonically, so each g_i / c_i is monotone over the micro-steps:
         # its extremes are the first and the last micro-step's values

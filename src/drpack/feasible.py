@@ -15,7 +15,7 @@ class Box:
     kind = "scaled_box"
 
     def __init__(self, bounds, radius: float | None = None):
-        bounds = np.asarray(bounds, dtype=float)
+        bounds = np.asarray(bounds, dtype=float) + 0.0  # a -0.0 bound becomes +0.0
         if bounds.ndim != 1 or not np.all(np.isfinite(bounds)) or np.any(bounds < 0):
             raise ValueError("bounds must be a finite non-negative vector")
         norm = float(np.linalg.norm(bounds))
@@ -31,8 +31,8 @@ class Box:
         return len(self.bounds)
 
     def linear_argmax(self, d) -> np.ndarray:
-        d = np.asarray(d, dtype=float)
-        return np.where(d > 0.0, self.bounds, 0.0)
+        # bounds are +0.0 or positive, so the coordinates left out are +0.0
+        return self.bounds * (np.asarray(d, dtype=float) > 0.0)
 
     def support(self, d) -> float:
         d = np.asarray(d, dtype=float)
@@ -69,7 +69,7 @@ class Simplex:
     def linear_argmax(self, d) -> np.ndarray:
         d = np.asarray(d, dtype=float)
         out = np.zeros(self._n)
-        j = int(np.argmax(d))
+        j = int(d.argmax())
         if d[j] > 0.0:
             out[j] = self.scale
         return out

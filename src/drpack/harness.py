@@ -119,9 +119,11 @@ def verify_bounds(family: str, trials: int = 10, K: int = 1000, seed: int = 0,
     Families without budget rows are flagged and skipped rather than checked.
     Returns {"family", "checks": [...], "ok"} with one record per instance.
     """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     dn, dm = VERIFY_FAMILY_DIMS[family]
-    n = n or dn
-    m = m or dm
+    n = dn if n is None else n
+    m = dm if m is None else m
     checks = []
     for trial in range(trials):
         spec = GeneratorSpec(family, n, m, seed + trial)
@@ -208,6 +210,8 @@ def reproduce_table1(n: int, seeds: int = 10, K: int = 50, m: int = 100,
     from the instance data, run online with K inner steps, and divide by the
     offline Frank-Wolfe value at the same K.
     """
+    if seeds < 1:
+        raise ValueError("seeds must be >= 1")
     result = ExperimentResult(n=n, m=m, K=K)
     for j in range(seeds):
         t0 = time.perf_counter()

@@ -173,6 +173,30 @@ def test_engine_matches_reference_loop(spec, policy, recorded):
             _assert_close(d_new, d_ref)
 
 
+def test_microsteps_recompute_only_the_rows_they_moved():
+    # a simplex vertex moves at most one row and a row with a zero step keeps
+    # its entry: n derivatives open each arrival, at most one follows each
+    # micro-step and n more give the final dual prices (a full recompute on
+    # every micro-step makes n*m*K + n)
+    n, m, K = 4, 20, 200
+    inst = generate(GeneratorSpec("adwords", n, m, seed=3))
+    calls = []
+
+    class CountingPenalty(PenaltyModel):
+        def derivative(self, u):
+            calls.append(u)
+            return super().derivative(u)
+
+    pens = auto_penalties(inst)
+    counting = [CountingPenalty(p.regime, p.U, p.L, p.epsilon) for p in pens]
+    recorded, steps = recording(inst)
+    trace = run_online(recorded, counting, EngineConfig(K=K))
+    assert len(steps) == m * K
+    assert 0 < len(calls) <= n * m + m * K + n
+    assert np.array_equal(trace.allocations,
+                          run_online(inst, pens, EngineConfig(K=K)).allocations)
+
+
 def test_capped_loads_never_exceed_budget():
     for seed in range(5):
         inst = generate(GeneratorSpec("quadratic_sec5", 3, 12, seed=seed))

@@ -32,6 +32,13 @@ def test_argmax_simplex_best_coordinate():
     assert np.array_equal(s.linear_argmax([0.5, 2.0, -1.0]), [0.0, 1.0, 0.0])
 
 
+def test_argmax_zeros_are_positive_and_ties_go_first():
+    # off its support a vertex is +0.0, even for a -0.0 bound or a NaN entry
+    v = Box([-0.0, 2.0, 1.0]).linear_argmax([1.0, np.nan, -1.0])
+    assert np.array_equal(v, np.zeros(3)) and not np.any(np.signbit(v))
+    assert np.array_equal(Simplex(3, 1.0).linear_argmax([2.0, 2.0, 1.0]), [1.0, 0.0, 0.0])
+
+
 def test_support_box_vertex_enumeration():
     b = Box(np.ones(3))
     d = np.array([1.0, -2.0, 3.0])

@@ -127,6 +127,13 @@ def test_verify_bounds_gap_family():
     assert all(c["passed"] for c in rep["checks"])
 
 
+@pytest.mark.parametrize("dim", ["n", "m"])
+def test_verify_bounds_passes_an_explicit_zero_size_to_the_generator(dim):
+    # 0 is an invalid size, not "use the family default"
+    with pytest.raises(ValueError, match="need n >= 1"):
+        verify_bounds("adwords", trials=1, K=10, **{dim: 0})
+
+
 def test_verify_bounds_gap_family_at_k1000():
     # the `drpack verify` default K: 1000 offline Frank-Wolfe steps per
     # instance, affordable because a certified vertex skips its LP
@@ -252,6 +259,24 @@ def test_cli_table_csv(tmp_path):
 def test_cli_verify_exit_code(tmp_path):
     assert main(["verify", "--family", "online_lp", "--trials", "2",
                  "--K", "150"]) == 0
+
+
+@pytest.mark.parametrize("trials", ["0", "-2"])
+def test_cli_verify_refuses_an_empty_sweep(capsys, trials):
+    # a sweep that checks nothing must not print "all checks passed"
+    assert main(["verify", "--family", "gap", "--trials", trials]) == 2
+    out, err = capsys.readouterr()
+    assert "trials must be >= 1" in err
+    assert "passed" not in out
+
+
+@pytest.mark.parametrize("seeds", ["0", "-1"])
+def test_cli_table_refuses_no_seeds(tmp_path, capsys, seeds):
+    out = tmp_path / "table.csv"
+    assert main(["reproduce-table1", "--n", "1", "--seeds", seeds,
+                 "--out", str(out)]) == 2
+    assert "seeds must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_refuses_an_instance_whose_gradient_vanishes(tmp_path, capsys):
