@@ -38,8 +38,7 @@ def _cmd_run(args) -> int:
     else:
         payload = serialize.load_json(args.penalty)
         penalties = [serialize.penalty_from_json(p) for p in payload["penalties"]]
-    cfg = EngineConfig(K=args.K, overshoot_policy=args.overshoot_policy)
-    trace = run_online(instance, penalties, cfg)
+    trace = run_online(instance, penalties, EngineConfig(K=args.K))
     serialize.save_json(args.out, serialize.trace_to_json(trace))
     print(f"ALG={trace.alg:.6g}  P={trace.p_gseq:.6g}  "
           f"max load={np.max(trace.loads):.6g}  -> {args.out}")
@@ -112,8 +111,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--penalty", default="auto",
                    help="'auto' or a penalty JSON file")
     p.add_argument("--epsilon", type=float, default=0.0)
-    p.add_argument("--overshoot-policy", default="cap_final_microstep",
-                   choices=("cap_final_microstep", "allow_raw"))
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_run)
 

@@ -16,9 +16,9 @@ the same x_{i,t} and load, so its direction entry cannot change: each
 micro-step recomputes only the rows the previous micro-step moved (one on a
 simplex arrival), plus one linear maximization over F_t.
 
-With the default overshoot policy the micro-step that would cross a budget
-boundary is scaled back to land exactly on it, which keeps every row load at
-or below its cap for any finite K.
+The micro-step that would cross a budget boundary is scaled back to land
+exactly on it, which keeps every row load at or below its cap for any finite
+K.
 """
 
 import math
@@ -28,7 +28,7 @@ import numpy as np
 
 from .objectives import prefix_grad_coord
 
-OVERSHOOT_POLICIES = ("cap_final_microstep", "allow_raw")
+BUDGET_TOL = 1e-9  # slack evaluate_trace allows on loads and set membership
 
 
 def row_loads(C, X) -> np.ndarray:
@@ -89,21 +89,14 @@ class OnlineInstance:
         """(n, m) per-coordinate caps implied by the feasible sets."""
         return np.stack([s.coordinate_caps() for s in self.sets], axis=1)
 
-    def max_radius(self) -> float:
-        return max(s.radius for s in self.sets)
-
 
 @dataclass
 class EngineConfig:
     K: int = 50
-    overshoot_policy: str = "cap_final_microstep"
-    budget_tol: float = 1e-9
 
     def __post_init__(self):
         if self.K < 1:
             raise ValueError("K must be >= 1")
-        if self.overshoot_policy not in OVERSHOOT_POLICIES:
-            raise ValueError(f"overshoot_policy must be one of {OVERSHOOT_POLICIES}")
 
 
 @dataclass
@@ -166,7 +159,6 @@ def run_online(instance: OnlineInstance, penalties, cfg: EngineConfig,
     if len(penalties) != n:
         raise ValueError("need one penalty per row")
     K = cfg.K
-    capped = cfg.overshoot_policy == "cap_final_microstep"
     omega = np.zeros((n, m))
     loads = [0.0] * n
     caps = [p.load_cap for p in penalties]
@@ -193,16 +185,15 @@ def run_online(instance: OnlineInstance, penalties, cfg: EngineConfig,
                 d[i] = _entry(g[i], c[i], penalties[i], loads[i])
             v = F_t.linear_argmax(d)
             step = [(i, vi / K) for i, vi in enumerate(v.tolist()) if vi]
-            if capped:
-                # scale the step back so that no finite cap is crossed
-                gamma = 1.0
-                for i, s in step:
-                    inc = c[i] * s
-                    if inc > 0.0 and bounded[i]:
-                        gamma = min(gamma, (caps[i] - loads[i]) / inc)
-                if gamma != 1.0:
-                    gamma = max(0.0, gamma)
-                    step = [(i, gamma * s) for i, s in step]
+            # scale the step back so that no finite cap is crossed
+            gamma = 1.0
+            for i, s in step:
+                inc = c[i] * s
+                if inc > 0.0 and bounded[i]:
+                    gamma = min(gamma, (caps[i] - loads[i]) / inc)
+            if gamma != 1.0:
+                gamma = max(0.0, gamma)
+                step = [(i, gamma * s) for i, s in step]
             moved = []
             for i, s in step:
                 if s:
@@ -260,15 +251,14 @@ def evaluate_trace(instance: OnlineInstance, penalties,
     if X.shape != (instance.n, instance.m):
         raise ValueError("allocation shape does not match the instance")
     loads, alg, p_gseq = _totals(instance, penalties, X)
-    tol = trace.config.budget_tol
     violations = []
     for i, p in enumerate(penalties):
         if not math.isfinite(loads[i]):
             violations.append(f"row {i} load {loads[i]} is not finite")
-        elif loads[i] > p.load_cap + tol:
+        elif loads[i] > p.load_cap + BUDGET_TOL:
             violations.append(f"row {i} load {loads[i]:.12g} exceeds cap {p.load_cap}")
     for t, s in enumerate(instance.sets):
-        if not s.contains(X[:, t], tol):
+        if not s.contains(X[:, t], BUDGET_TOL):
             violations.append(f"column {t} outside its feasible set")
     for name, value in (("alg", alg), ("p_gseq", p_gseq)):
         if not math.isfinite(value):

@@ -1,9 +1,9 @@
 """Per-step feasible sets with exact linear maximization and support functions.
 
 Two shapes cover every application here: scaled boxes and scaled simplices.
-Both contain the origin, carry an explicit Euclidean radius bound, and admit
-closed-form linear maximization. Ties at zero inner product resolve to zero so
-that saturated budgets are never pushed past their boundary.
+Both contain the origin and admit closed-form linear maximization. Ties at
+zero inner product resolve to zero so that saturated budgets are never pushed
+past their boundary.
 """
 
 import numpy as np
@@ -14,17 +14,11 @@ class Box:
 
     kind = "scaled_box"
 
-    def __init__(self, bounds, radius: float | None = None):
+    def __init__(self, bounds):
         bounds = np.asarray(bounds, dtype=float) + 0.0  # a -0.0 bound becomes +0.0
         if bounds.ndim != 1 or not np.all(np.isfinite(bounds)) or np.any(bounds < 0):
             raise ValueError("bounds must be a finite non-negative vector")
-        norm = float(np.linalg.norm(bounds))
-        if radius is None:
-            radius = norm
-        elif not norm * (1.0 - 1e-12) <= radius < np.inf:
-            raise ValueError("radius must be finite and cover the box")
         self.bounds = bounds
-        self.radius = float(radius)
 
     @property
     def n(self) -> int:
@@ -51,16 +45,11 @@ class Simplex:
 
     kind = "scaled_simplex"
 
-    def __init__(self, n: int, scale: float, radius: float | None = None):
+    def __init__(self, n: int, scale: float):
         if n < 1 or not 0 < scale < np.inf:
             raise ValueError("need n >= 1 and finite scale > 0")
-        if radius is None:
-            radius = float(scale)
-        elif not scale * (1.0 - 1e-12) <= radius < np.inf:
-            raise ValueError("radius must be finite and cover the simplex")
         self._n = int(n)
         self.scale = float(scale)
-        self.radius = float(radius)
 
     @property
     def n(self) -> int:

@@ -6,16 +6,25 @@ numpy's default_rng, so instances are reproducible across platforms. Families:
 - quadratic_sec5:   random monotone non-concave quadratics F(x) = (x/2 - 1)'Hx
                     with symmetric H, entries uniform in [-100, 0], h = -H 1;
                     costs uniform in [0, 1]; unit-box column sets.
-- adwords:          the objective of each row equals its budget row, so every
-                    value-to-weight ratio is exactly 1; simplex column sets.
-- online_lp:        linear objectives with controlled ratio spread over random
-                    positive costs; unit-box column sets.
-- knapsack_single:  one budget row; linear (ratio spread in [ratio_low,
-                    ratio_high]) or multilinear objective; scalar box sets.
-- welfare_simplex:  n agents with multilinear valuations, simplex column sets,
+- adwords:          bids uniform in [0.1, 1]; the objective of each row equals
+                    its budget row, so every value-to-weight ratio is exactly
+                    1; simplex column sets.
+- online_lp:        linear objectives, costs uniform in [0.1, 1] and
+                    value-to-weight ratios uniform in [1, 3]; unit-box column
+                    sets.
+- knapsack_single:  one budget row, costs uniform in [0.05, 0.3]; a linear
+                    objective (ratios uniform in [1, e]) or, with
+                    params={"objective": "multilinear"}, the multilinear
+                    extension of a concave-of-modular function; scalar box
+                    sets.
+- welfare_simplex:  n agents with coverage valuations, simplex column sets,
                     and no budget rows (cost matrix is zero).
-- gap:              simplex column sets plus per-bin budget rows with
-                    multilinear bin valuations.
+- gap:              simplex column sets plus per-bin budget rows (costs
+                    uniform in [0.1, 0.5]) with concave-of-modular bin
+                    valuations.
+
+`params` is empty except for knapsack_single's "objective"; any other key is
+rejected.
 """
 
 import math
@@ -51,6 +60,10 @@ class GeneratorSpec:
             raise ValueError(f"unknown family {self.family!r}")
         if self.n < 1 or self.m < 1:
             raise ValueError("need n >= 1 and m >= 1")
+        read = {"objective"} if self.family == "knapsack_single" else set()
+        unknown = sorted(set(self.params) - read)
+        if unknown:
+            raise ValueError(f"{self.family} does not read params {unknown}")
 
 
 def _symmetric_uniform(rng, m, low, high):
@@ -77,27 +90,26 @@ def _random_coverage(rng, v):
 def generate(spec: GeneratorSpec) -> OnlineInstance:
     """Build the instance for a generator spec (deterministic in the seed)."""
     rng = np.random.default_rng(spec.seed)
-    n, m, p = spec.n, spec.m, spec.params
+    n, m = spec.n, spec.m
 
     if spec.family == "quadratic_sec5":
-        low = p.get("entry_low", -100.0)
         objectives = []
         for _ in range(n):
-            H = _symmetric_uniform(rng, m, low, 0.0)
+            H = _symmetric_uniform(rng, m, -100.0, 0.0)
             objectives.append(QuadraticObjective(H, -H.sum(axis=1)))
         C = rng.uniform(0.0, 1.0, size=(n, m))
         sets = [Box(np.ones(n)) for _ in range(m)]
         return OnlineInstance(C, sets, objectives)
 
     if spec.family == "adwords":
-        C = rng.uniform(p.get("bid_low", 0.1), p.get("bid_high", 1.0), size=(n, m))
+        C = rng.uniform(0.1, 1.0, size=(n, m))
         objectives = [LinearObjective(C[i].copy()) for i in range(n)]
         sets = [Simplex(n, 1.0) for _ in range(m)]
         return OnlineInstance(C, sets, objectives)
 
     if spec.family == "online_lp":
-        C = rng.uniform(p.get("cost_low", 0.1), p.get("cost_high", 1.0), size=(n, m))
-        ratios = rng.uniform(p.get("ratio_low", 1.0), p.get("ratio_high", 3.0), size=(n, m))
+        C = rng.uniform(0.1, 1.0, size=(n, m))
+        ratios = rng.uniform(1.0, 3.0, size=(n, m))
         objectives = [LinearObjective(C[i] * ratios[i]) for i in range(n)]
         sets = [Box(np.ones(n)) for _ in range(m)]
         return OnlineInstance(C, sets, objectives)
@@ -105,10 +117,10 @@ def generate(spec: GeneratorSpec) -> OnlineInstance:
     if spec.family == "knapsack_single":
         if n != 1:
             raise ValueError("knapsack_single takes a single budget row")
-        c = rng.uniform(p.get("cost_low", 0.05), p.get("cost_high", 0.3), size=m)
-        kind = p.get("objective", "linear")
+        c = rng.uniform(0.05, 0.3, size=m)
+        kind = spec.params.get("objective", "linear")
         if kind == "linear":
-            ratios = rng.uniform(p.get("ratio_low", 1.0), p.get("ratio_high", math.e), size=m)
+            ratios = rng.uniform(1.0, math.e, size=m)
             objectives = [LinearObjective(c * ratios)]
         elif kind == "multilinear":
             if m > MAX_GROUND_SET:
@@ -122,13 +134,7 @@ def generate(spec: GeneratorSpec) -> OnlineInstance:
     if spec.family == "welfare_simplex":
         if m > MAX_GROUND_SET:
             raise ValueError("multilinear ground set too large for exact evaluation")
-        flavor = p.get("valuations", "coverage")
-        objectives = []
-        for _ in range(n):
-            if flavor == "coverage":
-                objectives.append(MultilinearObjective(_random_coverage(rng, m)))
-            else:
-                objectives.append(MultilinearObjective(_random_concave_of_modular(rng, m)))
+        objectives = [MultilinearObjective(_random_coverage(rng, m)) for _ in range(n)]
         C = np.zeros((n, m))
         sets = [Simplex(n, 1.0) for _ in range(m)]
         return OnlineInstance(C, sets, objectives)
@@ -136,7 +142,7 @@ def generate(spec: GeneratorSpec) -> OnlineInstance:
     if spec.family == "gap":
         if m > MAX_GROUND_SET:
             raise ValueError("multilinear ground set too large for exact evaluation")
-        C = rng.uniform(p.get("cost_low", 0.1), p.get("cost_high", 0.5), size=(n, m))
+        C = rng.uniform(0.1, 0.5, size=(n, m))
         objectives = [
             MultilinearObjective(_random_concave_of_modular(rng, m)) for _ in range(n)
         ]

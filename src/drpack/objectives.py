@@ -461,9 +461,8 @@ def check_dr(obj, trials: int = 1000, rng_seed: int = 0,
 
 @dataclass
 class CurvatureReport:
-    """Curvature summary: alpha in [-1, 0], optional set-function curvature kappa."""
+    """Sampled curvature alpha in [-1, 0] and the point that attains it."""
     alpha: float
-    kappa: float | None
     witness: np.ndarray
 
 
@@ -497,11 +496,10 @@ def estimate_alpha(obj, chat, domain_box=None, *, samples: int = 2048,
     box = np.ones(obj.m) if domain_box is None else np.asarray(domain_box, dtype=float)
     box = np.minimum(box, obj.domain_cap)
 
-    kappa = obj.table.total_curvature() if obj.kind == "multilinear" else None
     if obj.alpha_lower(chat, box) == 0.0:
         # every feasible point attains it; this one has chat'u <= 1/2
         witness = np.minimum(box, 0.5 / obj.m / np.maximum(chat, 1e-30))
-        return CurvatureReport(0.0, kappa, witness)
+        return CurvatureReport(0.0, witness)
 
     corner_value = obj.value(box)
     if corner_value <= 0.0:
@@ -562,7 +560,7 @@ def estimate_alpha(obj, chat, domain_box=None, *, samples: int = 2048,
             best_ratio, best_point = r, u
 
     alpha = float(np.clip(best_ratio - 1.0, -1.0, 0.0))
-    return CurvatureReport(alpha, kappa, best_point)
+    return CurvatureReport(alpha, best_point)
 
 
 def estimate_smoothness(obj, domain_box) -> float:

@@ -9,17 +9,20 @@ bitmask as decimal strings):
 
     {"schema": 1, "n": 2, "m": 3,
      "C": [[...], [...]],
-     "sets": [{"kind": "scaled_box", "bounds": [...], "radius": r} |
-              {"kind": "scaled_simplex", "scale": s, "radius": r}, ...],
+     "sets": [{"kind": "scaled_box", "bounds": [...]} |
+              {"kind": "scaled_simplex", "n": 2, "scale": s}, ...],
      "objectives": [{"kind": "quadratic", "H": [[...]], "h": [...], "c0": 0.0} |
                     {"kind": "linear", "d": [...]} |
                     {"kind": "multilinear", "v": 3, "values": {"0": 0.0, ...}}]}
 
 Trace schema: allocations, loads, alg, p_gseq, dual {Y, z}, realized ratio
 extremes (null for the +inf min and -inf max of a row without a costed step,
-so files are strict JSON), the engine config echo, and the penalty parameters
-used. Floats are serialized with full round-trip precision, so load(save(x))
-is lossless.
+so files are strict JSON), the engine config echo {"K": K}, and the penalty
+parameters used. Floats are serialized with full round-trip precision, so
+load(save(x)) is lossless.
+
+The readers ignore keys they do not use, so older schema-1 files, whose sets
+and engine config carried more keys, still load.
 """
 
 import csv
@@ -45,15 +48,15 @@ def _check_schema(d) -> None:
 
 def set_to_json(s) -> dict:
     if isinstance(s, Box):
-        return {"kind": s.kind, "bounds": s.bounds.tolist(), "radius": s.radius}
-    return {"kind": s.kind, "n": s.n, "scale": s.scale, "radius": s.radius}
+        return {"kind": s.kind, "bounds": s.bounds.tolist()}
+    return {"kind": s.kind, "n": s.n, "scale": s.scale}
 
 
 def set_from_json(d):
     if d["kind"] == "scaled_box":
-        return Box(d["bounds"], d.get("radius"))
+        return Box(d["bounds"])
     if d["kind"] == "scaled_simplex":
-        return Simplex(d["n"], d["scale"], d.get("radius"))
+        return Simplex(d["n"], d["scale"])
     raise ValueError(f"unknown feasible-set kind {d['kind']!r}")
 
 
@@ -128,22 +131,13 @@ def trace_to_json(trace: RunTrace) -> dict:
         "dual": {"Y": trace.dual.Y.tolist(), "z": trace.dual.z.tolist()},
         "ratio_min": _extremes_to_json(trace.ratio_min),
         "ratio_max": _extremes_to_json(trace.ratio_max),
-        "config": {
-            "K": trace.config.K,
-            "overshoot_policy": trace.config.overshoot_policy,
-            "budget_tol": trace.config.budget_tol,
-        },
+        "config": {"K": trace.config.K},
         "penalties": [penalty_to_json(p) for p in trace.penalties],
     }
 
 
 def trace_from_json(d) -> RunTrace:
     _check_schema(d)
-    cfg = EngineConfig(
-        K=d["config"]["K"],
-        overshoot_policy=d["config"]["overshoot_policy"],
-        budget_tol=d["config"]["budget_tol"],
-    )
     return RunTrace(
         allocations=np.asarray(d["allocations"], dtype=float),
         loads=np.asarray(d["loads"], dtype=float),
@@ -151,7 +145,7 @@ def trace_from_json(d) -> RunTrace:
         p_gseq=d["p_gseq"],
         dual=DualPoint(np.asarray(d["dual"]["Y"], dtype=float),
                        np.asarray(d["dual"]["z"], dtype=float)),
-        config=cfg,
+        config=EngineConfig(K=d["config"]["K"]),
         penalties=[penalty_from_json(p) for p in d["penalties"]],
         ratio_min=np.array([math.inf if v is None else v for v in d["ratio_min"]], dtype=float),
         ratio_max=np.array([-math.inf if v is None else v for v in d["ratio_max"]], dtype=float),

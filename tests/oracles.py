@@ -9,7 +9,7 @@ and against which the arrival-oracle engine is compared, and
 `reference_offline_fw`, which solves the linear maximization on every
 Frank-Wolfe step and against which the once-per-gradient baseline is compared.
 `recording` lets a test see each micro-step's direction and vertex without the
-solver keeping them.
+solver keeping them, and `assert_same_microsteps` compares two such logs.
 """
 
 import itertools
@@ -164,8 +164,7 @@ def reference_run_online(instance, penalties, cfg, on_step=None):
                 d[i] = g + c_t[i] * penalties[i].derivative(loads[i])
             v = F_t.linear_argmax(d)
             step = v / K
-            if cfg.overshoot_policy == "cap_final_microstep":
-                step = _cap_gamma(loads, caps, c_t * step) * step
+            step = _cap_gamma(loads, caps, c_t * step) * step
             omega[:, t] += step
             loads += c_t * step
         if on_step is not None:
@@ -216,6 +215,24 @@ def recording(instance):
     log = []
     sets = [RecordingSet(s, log) for s in instance.sets]
     return OnlineInstance(instance.C, sets, instance.objectives), log
+
+
+def assert_same_microsteps(instance, X, new_steps, ref_steps, rtol=1e-12):
+    """Two runs ending at X made the same vertices and, up to rounding, the
+    same directions.
+
+    An entry g_i + c_i G'_i whose terms cancel carries their rounding, and
+    with one row the direction's largest entry is that entry. So entries are
+    held to rtol times the largest entry plus the largest gradient coordinate
+    the run can meet: it only raises coordinates and the gradient is antitone,
+    so each coordinate lies between its values at X and at 0.
+    """
+    grad_scale = max(np.max(np.abs(instance.grad(np.zeros_like(X)))),
+                     np.max(np.abs(instance.grad(X))))
+    assert len(new_steps) == len(ref_steps)
+    for (d_new, v_new), (d_ref, v_ref) in zip(new_steps, ref_steps):
+        assert np.array_equal(v_new, v_ref)
+        assert np.all(np.abs(d_new - d_ref) <= rtol * (np.max(np.abs(d_ref)) + grad_scale))
 
 
 # ---------------------------------------------- reference offline Frank-Wolfe

@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from drpack.engine import (EngineConfig, OnlineInstance, direction,
+from drpack.engine import (BUDGET_TOL, EngineConfig, OnlineInstance, direction,
                            evaluate_trace, row_loads, run_online)
 from drpack.feasible import Box, Simplex
 from drpack.generators import FAMILIES, GeneratorSpec, generate
 from drpack.harness import auto_penalties
 from drpack.objectives import LinearObjective, QuadraticObjective
 from drpack.penalties import PenaltyModel, ZeroPenalty
-from oracles import recording, reference_run_online
+from oracles import assert_same_microsteps, recording, reference_run_online
 
 
 def scalar_instance():
@@ -135,27 +135,40 @@ def test_online_discipline_instrumented():
 
 
 def _assert_close(a, b, rtol=1e-12):
+    # entries are held to rtol of the vector's largest entry, not their own:
+    # an entry whose terms cancel carries the rounding of those terms
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     assert a.shape == b.shape
     finite = np.isfinite(a) & np.isfinite(b)
     assert np.array_equal(a[~finite], b[~finite])
     a, b = a[finite], b[finite]
-    assert np.all(np.abs(a - b) <= rtol * np.maximum(np.abs(a), np.abs(b)))
+    if a.size:
+        assert np.all(np.abs(a - b) <= rtol * max(np.max(np.abs(a)), np.max(np.abs(b))))
+
+
+def _reference_case(spec, K=40, label=None):
+    # the ids end in the name of the capped micro-step rule, which keeps the
+    # case names stable
+    label = label or spec.params.get("objective", "default")
+    return pytest.param(spec, K, id=f"{spec.family}-{label}-cap_final_microstep")
 
 
 @pytest.mark.parametrize("recorded", [False, True])
-@pytest.mark.parametrize("policy", ["cap_final_microstep", "allow_raw"])
-@pytest.mark.parametrize("spec", [
-    *[GeneratorSpec(f, 1 if f == "knapsack_single" else 3, 8, seed=11) for f in FAMILIES],
-    GeneratorSpec("knapsack_single", 1, 8, seed=11, params={"objective": "multilinear"}),
-], ids=lambda s: s.family + "-" + s.params.get("objective", "default"))
-def test_engine_matches_reference_loop(spec, policy, recorded):
+@pytest.mark.parametrize("spec, K", [
+    *[_reference_case(GeneratorSpec(f, 1 if f == "knapsack_single" else 3, 8, seed=11))
+      for f in FAMILIES],
+    _reference_case(GeneratorSpec("knapsack_single", 1, 8, seed=11,
+                                  params={"objective": "multilinear"})),
+    # a direction entry near 0 where g_i and c_i G'_i, both near 80, cancel
+    _reference_case(GeneratorSpec("quadratic_sec5", 3, 2, seed=2), K=2, label="cancelling"),
+])
+def test_engine_matches_reference_loop(spec, K, recorded):
     # recorded: both loops run through the recording sets and their (d, v)
     # sequences are compared; otherwise both run on the bare instance, so the
     # wrapper cannot hide a difference that only shows on the real sets
     inst = generate(spec)
     pens = auto_penalties(inst)
-    cfg = EngineConfig(K=40, overshoot_policy=policy)
+    cfg = EngineConfig(K=K)
     if recorded:
         (new_inst, new_steps), (ref_inst, ref_steps) = recording(inst), recording(inst)
     else:
@@ -167,10 +180,8 @@ def test_engine_matches_reference_loop(spec, policy, recorded):
                  (new.dual.Y, ref.dual.Y), (new.dual.z, ref.dual.z)]:
         _assert_close(a, b)
     if recorded:
-        assert len(new_steps) == len(ref_steps) == inst.m * cfg.K
-        for (d_new, v_new), (d_ref, v_ref) in zip(new_steps, ref_steps):
-            assert np.array_equal(v_new, v_ref)
-            _assert_close(d_new, d_ref)
+        assert len(new_steps) == inst.m * K
+        assert_same_microsteps(inst, new.allocations, new_steps, ref_steps)
 
 
 def test_microsteps_recompute_only_the_rows_they_moved():
@@ -206,16 +217,6 @@ def test_capped_loads_never_exceed_budget():
             assert s.contains(trace.allocations[:, t], 1e-12)
 
 
-def test_raw_overshoot_within_one_microstep():
-    K = 25
-    for seed in range(5):
-        inst = generate(GeneratorSpec("quadratic_sec5", 2, 12, seed=seed))
-        pens = auto_penalties(inst)
-        trace = run_online(inst, pens, EngineConfig(K=K, overshoot_policy="allow_raw"))
-        bound = float(np.max(inst.C)) * inst.max_radius() / K
-        assert np.max(trace.loads) <= 1.0 + bound + 1e-12
-
-
 def test_saturated_rows_stop_loading():
     inst = two_step_instance()
     pens = [PenaltyModel("multi_constraint", 2.0, 2.0 * (1 - 1e-9))]
@@ -243,7 +244,7 @@ def test_penalized_objective_nonnegative():
         assert trace.p_gseq >= 0.0
     inst = generate(GeneratorSpec("knapsack_single", 1, 12, seed=1))
     trace = run_online(inst, auto_penalties(inst), EngineConfig(K=60))
-    assert trace.p_gseq >= -trace.config.budget_tol
+    assert trace.p_gseq >= -BUDGET_TOL
 
 
 def test_dual_point_prices_nonnegative():
@@ -375,5 +376,3 @@ def test_instance_validation():
         OnlineInstance(np.array([[1.0]]), [Box([1.0])], [LinearObjective([1.0, 2.0])])
     with pytest.raises(ValueError):
         EngineConfig(K=0)
-    with pytest.raises(ValueError):
-        EngineConfig(K=5, overshoot_policy="nope")

@@ -84,7 +84,6 @@ def test_argmax_dominates_random_members():
                 x = raw / raw.sum() * s.scale * rng.uniform(0, 1)
             assert v @ d >= x @ d - 1e-12
             assert s.contains(v, 1e-12)
-            assert np.linalg.norm(v) <= s.radius + 1e-12
 
 
 def test_contains_examples():
@@ -92,15 +91,6 @@ def test_contains_examples():
     assert b.contains([0.5, 1.0], 0.0)
     assert not b.contains([1.0 + 1e-7, 0.0], 1e-9)
     assert not Simplex(2, 1.0).contains([0.6, 0.5], 1e-9)
-
-
-def test_radius_validation():
-    assert Box(np.ones(4)).radius == pytest.approx(2.0)
-    with pytest.raises(ValueError):
-        Box(np.ones(4), radius=1.5)
-    with pytest.raises(ValueError):
-        Simplex(2, 1.0, radius=0.5)
-    assert Simplex(2, 1.0).radius == 1.0
 
 
 def test_bad_construction():
@@ -114,8 +104,4 @@ def test_bad_construction():
         with pytest.raises(ValueError):
             Box([bad, 1.0])
         with pytest.raises(ValueError):
-            Box([1.0, 1.0], radius=bad)
-        with pytest.raises(ValueError):
             Simplex(2, bad)
-        with pytest.raises(ValueError):
-            Simplex(2, 1.0, radius=bad)

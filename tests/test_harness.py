@@ -1,10 +1,12 @@
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from drpack import serialize
-from drpack.cli import main
+from drpack.cli import build_parser, main
 from drpack.engine import EngineConfig, OnlineInstance, evaluate_trace, run_online
 from drpack.feasible import Box
 from drpack.generators import FAMILIES, GeneratorSpec, generate
@@ -71,6 +73,14 @@ def test_bad_specs_rejected():
         generate(GeneratorSpec("knapsack_single", 2, 5, 0))
     with pytest.raises(ValueError):
         generate(GeneratorSpec("welfare_simplex", 2, 25, 0))
+    # a params key the family does not read (misspelt, or another family's)
+    # must not silently build the default instance
+    with pytest.raises(ValueError, match="objectve"):
+        GeneratorSpec("knapsack_single", 1, 5, 0, params={"objectve": "multilinear"})
+    with pytest.raises(ValueError, match="objective"):
+        GeneratorSpec("gap", 3, 5, 0, params={"objective": "multilinear"})
+    with pytest.raises(ValueError, match="valuations"):
+        GeneratorSpec("welfare_simplex", 3, 5, 0, params={"valuations": "coverage"})
 
 
 # ------------------------------------------------------------------ penalties
@@ -153,7 +163,8 @@ def test_instance_round_trip_lossless(tmp_path):
         back = serialize.instance_from_json(serialize.load_json(path))
         assert np.array_equal(back.C, inst.C)
         for sa, sb in zip(inst.sets, back.sets):
-            assert sa.kind == sb.kind and sa.radius == sb.radius
+            assert sa.kind == sb.kind
+            assert np.array_equal(sa.coordinate_caps(), sb.coordinate_caps())
         for oa, ob in zip(inst.objectives, back.objectives):
             assert oa.kind == ob.kind
             x = np.full(5, 0.3)
@@ -207,6 +218,38 @@ def test_files_carry_a_schema_version(tmp_path):
     path = tmp_path / "inst.json"
     serialize.save_json(path, {**serialize.instance_to_json(inst), "schema": 2})
     assert main(["run", "--instance", str(path), "--out", str(tmp_path / "t.json")]) == 2
+
+
+# schema-1 files as written while sets carried a radius and the engine config
+# an overshoot policy and a budget tolerance
+OLD_INSTANCE = """{"schema": 1, "n": 1, "m": 2, "C": [[1.0, 1.0]],
+ "sets": [{"kind": "scaled_box", "bounds": [1.0], "radius": 1.0},
+          {"kind": "scaled_simplex", "n": 1, "scale": 1.0, "radius": 1.0}],
+ "objectives": [{"kind": "linear", "d": [2.0, 1.0]}]}"""
+OLD_TRACE = """{"schema": 1, "allocations": [[1.0, 0.5]], "loads": [1.5],
+ "alg": 2.5, "p_gseq": 2.5, "dual": {"Y": [[2.0, 1.0]], "z": [1.0]},
+ "ratio_min": [1.0], "ratio_max": [2.0],
+ "config": {"K": 2, "overshoot_policy": "allow_raw", "budget_tol": 1e-09},
+ "penalties": [{"regime": "single_constraint", "U": 2.0, "L": 1.0, "epsilon": 0.0}]}"""
+
+
+def test_older_schema_1_files_still_load(tmp_path):
+    inst = serialize.instance_from_json(json.loads(OLD_INSTANCE))
+    assert serialize.instance_to_json(inst)["sets"] == [
+        {"kind": "scaled_box", "bounds": [1.0]},
+        {"kind": "scaled_simplex", "n": 1, "scale": 1.0}]
+    trace = serialize.trace_from_json(json.loads(OLD_TRACE))
+    assert trace.config == EngineConfig(K=2)
+    assert serialize.trace_to_json(trace)["config"] == {"K": 2}
+    # the old trace overshoots its row's cap of 1: `drpack bounds` says so
+    (tmp_path / "inst.json").write_text(OLD_INSTANCE)
+    (tmp_path / "trace.json").write_text(OLD_TRACE)
+    report = tmp_path / "report.json"
+    assert main(["bounds", "--instance", str(tmp_path / "inst.json"),
+                 "--trace", str(tmp_path / "trace.json"), "--out", str(report)]) == 1
+    payload = strict_json(report.read_text())
+    assert not payload["feasible"]
+    assert "row 0 load 1.5 exceeds cap 1.0" in payload["violations"]
 
 
 def test_penalty_round_trip():
@@ -328,6 +371,20 @@ def test_cli_bounds_refuses_a_nonpositive_k_off(tmp_path, capsys, k_off):
                  "--K-off", k_off, "--out", str(report)]) == 2
     assert "K_off must be >= 1" in capsys.readouterr().err
     assert not report.exists()
+
+
+def test_readme_cli_lines_parse():
+    # a flag removed from the CLI but left in the README fails here
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```bash", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("drpack ")]
+    assert len(lines) >= 5
+    parser = build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README line does not parse: {line}")
 
 
 def test_cli_input_error_exit_code(tmp_path):

@@ -260,7 +260,7 @@ def test_alpha_coverage_one_third():
     rep = estimate_alpha(F, [1.0, 1.0])
     assert rep.alpha == pytest.approx(-1.0 / 3.0, abs=1e-6)
     assert np.allclose(rep.witness, [0.5, 0.5], atol=1e-4)
-    assert rep.kappa == pytest.approx(1.0)
+    assert F.table.total_curvature() == pytest.approx(1.0)
 
 
 def test_alpha_one_dim_quadratic():
