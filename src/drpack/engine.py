@@ -60,9 +60,12 @@ class OnlineInstance:
         for s in self.sets:
             if s.n != n:
                 raise ValueError("feasible set dimension must equal the row count")
-        for obj in self.objectives:
+        caps = self.row_boxes()
+        for i, obj in enumerate(self.objectives):
             if obj.m != m:
                 raise ValueError("objective dimension must equal the step count")
+            if np.any(caps[i] > obj.domain_cap):
+                raise ValueError(f"feasible set caps exceed row {i}'s objective domain")
 
     @property
     def n(self) -> int:

@@ -27,17 +27,13 @@ VERIFY_FAMILY_DIMS = {
 }
 
 
-def _regime_for(n: int) -> str:
-    return "single_constraint" if n == 1 else "multi_constraint"
-
-
 def auto_penalties(instance: OnlineInstance, epsilon: float = 0.0) -> list:
     """One penalty per row with U/L taken from the instance data.
 
     Rows whose cost row is identically zero carry no budget and get a no-op
     penalty (they are excluded from bound checks).
     """
-    regime = _regime_for(instance.n)
+    regime = "single_constraint" if instance.n == 1 else "multi_constraint"
     boxes = instance.row_boxes()
     pens = []
     for i in range(instance.n):
@@ -80,28 +76,28 @@ def bound_report(instance: OnlineInstance, penalties, trace: RunTrace,
                  fw_value: float | None = None) -> BoundReport:
     """Assemble the full bound report for a finished run.
 
-    Theoretical side uses the run's penalty parameters and, per costed row,
-    the objective's certified curvature lower bound `alpha_lower`, so the
-    printed CR is a lower bound (the sampled `estimate_alpha` is optimistic
-    and is not used). Empirical side divides the online value by the offline
-    Frank-Wolfe value at K_off (defaults to the run's K); it is None when that
-    value is at most 1e-12. `alpha_refinements` is ignored: it is kept for
-    bench/ until the bench-mending pass.
+    Theoretical side uses the run's penalty parameters and regime (rows that
+    mix regimes are refused) and, per costed row, the objective's certified
+    curvature lower bound `alpha_lower`, so the printed CR is a lower bound
+    (the sampled `estimate_alpha` is optimistic and is not used). Empirical
+    side divides the online value by the offline Frank-Wolfe value at K_off
+    (defaults to the run's K); it is None when that value is at most 1e-12.
+    `alpha_refinements` is ignored: it is kept for bench/ until the
+    bench-mending pass.
     """
     costed = [i for i, p in enumerate(penalties) if not isinstance(p, ZeroPenalty)]
     if not costed:
         raise ValueError("no budget rows; bound undefined")
+    regimes = {penalties[i].regime for i in costed}
+    if len(regimes) > 1:
+        raise ValueError(f"budget rows mix penalty regimes {sorted(regimes)}")
     boxes = instance.row_boxes()
-    alphas = np.array([
-        instance.objectives[i].alpha_lower(
-            instance.C[i], np.minimum(boxes[i], instance.objectives[i].domain_cap))
-        for i in costed
-    ])
+    alphas = np.array([instance.objectives[i].alpha_lower(instance.C[i], boxes[i])
+                       for i in costed])
     Us = np.array([penalties[i].U for i in costed])
     Ls = np.array([penalties[i].L for i in costed])
     eps = max(p.epsilon for p in penalties)
-    regime = _regime_for(instance.n)
-    report = theoretical_cr(regime, alphas, Us, Ls, eps)
+    report = theoretical_cr(regimes.pop(), alphas, Us, Ls, eps)
     if fw_value is None:
         _, fw_value = offline_fw(instance, trace.config.K if K_off is None else K_off)
     empirical = trace.alg / fw_value if fw_value > 1e-12 else None

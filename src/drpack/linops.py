@@ -1,6 +1,7 @@
 """Exact linear maximization helpers used by the offline baseline and bound code.
 
-The joint offline region is built once as arrays and reused by every linmax.
+`budget_linmax` solves a whole stack of knapsack rows in one array pass; the
+joint offline region is built once as arrays and reused by every linmax.
 """
 
 import numpy as np
@@ -14,34 +15,36 @@ _ACTIVE_TOL = 1e-9
 _KKT_RTOL = 1e-12
 
 
-def budget_linmax(g, c, ub, *, equality: bool = False) -> np.ndarray:
-    """Exact solution of max g'x s.t. c'x <= 1 (or = 1), 0 <= x <= ub.
+def budget_linmax(G, c, ub, *, equality: bool = False) -> np.ndarray:
+    """Exact solution of max g'x s.t. c'x <= 1 (or = 1), 0 <= x <= ub for each
+    row g of G (a 1-D G is one row); c and ub broadcast to G's shape.
 
-    Costs must be non-negative; zero-cost coordinates are handled separately.
-    Greedy by value-to-cost density, which is exact for a single budget row.
+    Costs must be non-negative; zero-cost coordinates take their cap when g > 0.
+    Greedy by value-to-cost density (ties by index), exact for a single budget
+    row (Dantzig 1957); unless `equality`, the fill stops at the first g <= 0.
     """
-    g = np.asarray(g, dtype=float)
-    c = np.asarray(c, dtype=float)
-    ub = np.asarray(ub, dtype=float)
+    G = np.asarray(G, dtype=float)
+    c, ub = np.broadcast_arrays(np.asarray(c, dtype=float), np.asarray(ub, dtype=float))
     if np.any(c < 0):
         raise ValueError("costs must be non-negative")
-
-    x = np.zeros_like(g)
-    free = c <= 0.0
-    x[free & (g > 0.0)] = ub[free & (g > 0.0)]
-
-    paid = np.flatnonzero(~free)
-    if equality and c[paid] @ ub[paid] < 1.0 - 1e-9:
-        raise ValueError("budget cannot be met with the given bounds")
-    density = g[paid] / c[paid]
-    order = paid[np.argsort(-density, kind="stable")]
-    remaining = 1.0
-    for j in order:
-        if remaining <= _EPS or (not equality and g[j] <= 0.0):
-            break
-        take = min(ub[j], remaining / c[j])
-        x[j] = take
-        remaining -= c[j] * take
+    if equality:  # one dot over the paid coordinates per distinct cost row
+        for ci, ui in zip(c.reshape(-1, c.shape[-1]), ub.reshape(-1, c.shape[-1])):
+            if ci[ci > 0.0] @ ui[ci > 0.0] < 1.0 - 1e-9:
+                raise ValueError("budget cannot be met with the given bounds")
+    c, ub = (np.broadcast_to(a, G.shape) for a in (c, ub))
+    paid = c > 0.0
+    cost = np.where(paid, c, 1.0)
+    order = np.argsort(np.where(paid, -(G / cost), np.inf), axis=-1, kind="stable")
+    g, ub, paid, cost = (np.take_along_axis(a, order, axis=-1) for a in (G, ub, paid, cost))
+    # the budget left before each coordinate if all before it took their caps,
+    # as a left fold; past one that takes less than its cap it is <= _EPS
+    spent = np.where(paid, cost * ub, 0.0)[..., :-1]
+    remaining = np.subtract.accumulate(
+        np.concatenate([np.ones(G.shape[:-1] + (1,)), spent], axis=-1), axis=-1)
+    stop = np.logical_or.accumulate((remaining <= _EPS) | ((g <= 0.0) & (not equality)), axis=-1)
+    take = np.where(stop, 0.0, np.minimum(ub, remaining / cost))
+    x = np.empty_like(G)
+    np.put_along_axis(x, order, np.where(paid, take, np.where(g > 0.0, ub, 0.0)), axis=-1)
     return x
 
 
@@ -76,8 +79,7 @@ def polytope_linmax(region, G) -> np.ndarray:
     n, m = G.shape
     if len(b) == n:
         C = A.reshape(n, n, m)[np.arange(n), np.arange(n)]
-        ub = caps.reshape(n, m)
-        return np.stack([budget_linmax(G[i], C[i], ub[i]) for i in range(n)])
+        return budget_linmax(G, C, caps.reshape(n, m))
 
     from scipy.optimize import linprog
 

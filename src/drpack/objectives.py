@@ -228,32 +228,27 @@ class QuadraticObjective:
         X = np.asarray(X, dtype=float)
         return X @ self.H + self.h[None, :]
 
-    def _max_drop(self, chat, box) -> np.ndarray:
-        """T_t = max -H[t]'x over {0 <= x <= box, chat'x <= 1}, so that
-        h_t - T_t is the least gradient coordinate t takes there."""
-        return np.array([-self.H[t] @ budget_linmax(-self.H[t], chat, box)
-                         for t in range(self.m)])
+    def _knapsack(self, A, chat, box, equality=False) -> np.ndarray:
+        """max A[t]'x over {0 <= x <= box, chat'x <= 1 (or = 1)} for every row t."""
+        X = budget_linmax(A, chat, box, equality=equality)
+        return (A[:, None, :] @ X[:, :, None])[:, 0, 0]  # rounded as A[t] @ X[t] is
 
     def grad_range(self, chat, box) -> tuple[np.ndarray, np.ndarray]:
         # the gradient is affine, so each bound is an exact fractional knapsack
-        face_feasible = chat @ box >= 1.0 - 1e-12
-        sup = np.empty(self.m)
-        for t in range(self.m):
-            if face_feasible:
-                x = budget_linmax(self.H[t], chat, box, equality=True)
-            else:
-                x = np.zeros(self.m)  # anti-tone gradient peaks at the origin
-            sup[t] = self.H[t] @ x + self.h[t]
-        return sup, self.h - self._max_drop(chat, box)
+        if chat @ box >= 1.0 - 1e-12:
+            sup = self._knapsack(self.H, chat, box, equality=True) + self.h
+        else:
+            sup = self.h.copy()  # anti-tone gradient peaks at the origin
+        return sup, self.h - self._knapsack(-self.H, chat, box)
 
     def alpha_lower(self, chat, box) -> float:
         # With M = -H, l = h'u and q = u'Mu/2, the ratio minus one is
-        # -q/(l - q) = -rho/(1 - rho) for rho = q/l. Each (Mu)_j is at most
-        # T_j, so rho <= max_j T_j/(2 h_j) over the coordinates the box frees.
+        # -q/(l - q) = -rho/(1 - rho) for rho = q/l. Each (Mu)_j is at most its
+        # knapsack maximum T_j, so rho <= max_j T_j/(2 h_j) over free coordinates.
         free = box > 0.0
         if self.c0 != 0.0 or np.any(self.h[free] <= 0.0):
             return -1.0
-        drop = self._max_drop(chat, box)[free]
+        drop = self._knapsack(-self.H, chat, box)[free]
         rho = 0.5 * float(np.max(drop / self.h[free], initial=0.0))
         if not rho < 0.5:  # the bound would reach -1 (or rho is nan)
             return -1.0

@@ -2,12 +2,15 @@
 
 Everything here is deliberately written from scratch against the definitions
 (recursive conditioning, corner enumeration, finite differences, pure grid
-scans) so that it shares no code path with the library being tested. The two
+scans) so that it shares no code path with the library being tested. The
 exceptions are the library's earlier loops: `reference_run_online`, which
 re-evaluates every gradient coordinate with `grad_coord` at each micro-step
-and against which the arrival-oracle engine is compared, and
+and against which the arrival-oracle engine is compared,
 `reference_offline_fw`, which solves the linear maximization on every
-Frank-Wolfe step and against which the once-per-gradient baseline is compared.
+Frank-Wolfe step and against which the once-per-gradient baseline is compared,
+and `reference_budget_linmax`, the one-row greedy loop against which the
+whole-stack knapsack kernel is compared (with `reference_quadratic_bounds`,
+the per-coordinate loops of the quadratic bound methods built on it).
 `recording` lets a test see each micro-step's direction and vertex without the
 solver keeping them, and `assert_same_microsteps` compares two such logs.
 """
@@ -114,6 +117,65 @@ def _reject_constant(name):
 def strict_json(text):
     """json.loads that rejects the NaN and Infinity constants."""
     return json.loads(text, parse_constant=_reject_constant)
+
+
+# ------------------------------------------------ reference knapsack loops
+
+_EPS = 1e-12
+
+
+def reference_budget_linmax(g, c, ub, *, equality: bool = False) -> np.ndarray:
+    """Exact solution of max g'x s.t. c'x <= 1 (or = 1), 0 <= x <= ub.
+
+    Costs must be non-negative; zero-cost coordinates are handled separately.
+    Greedy by value-to-cost density, which is exact for a single budget row.
+    """
+    g = np.asarray(g, dtype=float)
+    c = np.asarray(c, dtype=float)
+    ub = np.asarray(ub, dtype=float)
+    if np.any(c < 0):
+        raise ValueError("costs must be non-negative")
+
+    x = np.zeros_like(g)
+    free = c <= 0.0
+    x[free & (g > 0.0)] = ub[free & (g > 0.0)]
+
+    paid = np.flatnonzero(~free)
+    if equality and c[paid] @ ub[paid] < 1.0 - 1e-9:
+        raise ValueError("budget cannot be met with the given bounds")
+    density = g[paid] / c[paid]
+    order = paid[np.argsort(-density, kind="stable")]
+    remaining = 1.0
+    for j in order:
+        if remaining <= _EPS or (not equality and g[j] <= 0.0):
+            break
+        take = min(ub[j], remaining / c[j])
+        x[j] = take
+        remaining -= c[j] * take
+    return x
+
+
+def reference_quadratic_bounds(obj, chat, box):
+    """(sup, inf, alpha) of `QuadraticObjective.grad_range` and `alpha_lower`,
+    one knapsack per gradient coordinate."""
+    m = obj.m
+    drop = np.array([-obj.H[t] @ reference_budget_linmax(-obj.H[t], chat, box)
+                     for t in range(m)])
+    face_feasible = chat @ box >= 1.0 - 1e-12
+    sup = np.empty(m)
+    for t in range(m):
+        if face_feasible:
+            x = reference_budget_linmax(obj.H[t], chat, box, equality=True)
+        else:
+            x = np.zeros(m)
+        sup[t] = obj.H[t] @ x + obj.h[t]
+    free = box > 0.0
+    if obj.c0 != 0.0 or np.any(obj.h[free] <= 0.0):
+        return sup, obj.h - drop, -1.0
+    rho = 0.5 * float(np.max(drop[free] / obj.h[free], initial=0.0))
+    if not rho < 0.5:
+        return sup, obj.h - drop, -1.0
+    return sup, obj.h - drop, float(np.clip(-rho / (1.0 - rho), -1.0, 0.0))
 
 
 # ------------------------------------------------ reference micro-step loop

@@ -6,7 +6,8 @@ from drpack.engine import (BUDGET_TOL, EngineConfig, OnlineInstance, direction,
 from drpack.feasible import Box, Simplex
 from drpack.generators import FAMILIES, GeneratorSpec, generate
 from drpack.harness import auto_penalties
-from drpack.objectives import LinearObjective, QuadraticObjective
+from drpack.objectives import (LinearObjective, MultilinearObjective, QuadraticObjective,
+                               SetFunctionTable)
 from drpack.penalties import PenaltyModel, ZeroPenalty
 from oracles import assert_same_microsteps, recording, reference_run_online
 
@@ -376,3 +377,14 @@ def test_instance_validation():
         OnlineInstance(np.array([[1.0]]), [Box([1.0])], [LinearObjective([1.0, 2.0])])
     with pytest.raises(ValueError):
         EngineConfig(K=0)
+
+
+def test_instance_rejects_set_caps_beyond_the_objective_domain():
+    tab = SetFunctionTable.cardinality(1)
+    with pytest.raises(ValueError, match="objective domain"):
+        OnlineInstance(np.array([[1.0]]), [Box([2.0])], [MultilinearObjective(tab)])
+    with pytest.raises(ValueError, match="objective domain"):
+        OnlineInstance(np.array([[1.0]]), [Simplex(1, 1.5)], [MultilinearObjective(tab)])
+    # caps up to the domain, and any cap for an unbounded domain, are accepted
+    OnlineInstance(np.array([[1.0]]), [Box([1.0])], [MultilinearObjective(tab)])
+    OnlineInstance(np.array([[1.0]]), [Box([2.0])], [LinearObjective([1.0])])

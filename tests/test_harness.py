@@ -10,10 +10,10 @@ from drpack.cli import build_parser, main
 from drpack.engine import EngineConfig, OnlineInstance, evaluate_trace, run_online
 from drpack.feasible import Box
 from drpack.generators import FAMILIES, GeneratorSpec, generate
-from drpack.harness import (auto_penalties, finite_k_slack, reproduce_table1,
+from drpack.harness import (auto_penalties, bound_report, finite_k_slack, reproduce_table1,
                             verify_bounds)
 from drpack.objectives import LinearObjective
-from drpack.penalties import PenaltyModel, ZeroPenalty
+from drpack.penalties import PenaltyModel, ZeroPenalty, theoretical_cr
 from oracles import strict_json
 
 
@@ -90,6 +90,20 @@ def test_auto_penalties_regimes():
     assert single[0].regime == "single_constraint"
     multi = auto_penalties(generate(GeneratorSpec("online_lp", 3, 8, 0)))
     assert all(p.regime == "multi_constraint" for p in multi)
+
+
+def test_bound_report_takes_the_regime_from_the_penalties():
+    # one row run with the multi-row design: the single-row bound (0.6352
+    # here) is not a bound for that run, the multi-row one (0.4518) is
+    inst = generate(GeneratorSpec("knapsack_single", 1, 10, 3))
+    auto = auto_penalties(inst)[0]
+    pens = [PenaltyModel("multi_constraint", auto.U, auto.L)]
+    trace = run_online(inst, pens, EngineConfig(K=50))
+    report = bound_report(inst, pens, trace)
+    assert report.regime == "multi_constraint"
+    expected = theoretical_cr("multi_constraint", report.alpha_used, [auto.U], [auto.L])
+    assert report.theoretical_cr == expected.theoretical_cr
+    assert report.theoretical_cr == pytest.approx(0.4518, abs=1e-4)
 
 
 def test_finite_k_slack_scales():
@@ -371,6 +385,39 @@ def test_cli_bounds_refuses_a_nonpositive_k_off(tmp_path, capsys, k_off):
                  "--K-off", k_off, "--out", str(report)]) == 2
     assert "K_off must be >= 1" in capsys.readouterr().err
     assert not report.exists()
+
+
+def test_cli_bounds_refuses_mixed_regimes(tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    pen = tmp_path / "pen.json"
+    trace = tmp_path / "trace.json"
+    report = tmp_path / "report.json"
+    assert main(["generate", "--family", "online_lp", "--n", "2", "--m", "5",
+                 "--out", str(inst)]) == 0
+    pen.write_text(json.dumps({"penalties": [
+        {"regime": "multi_constraint", "U": 3.0, "L": 1.0, "epsilon": 0.0},
+        {"regime": "single_constraint", "U": 3.0, "L": 1.0, "epsilon": 0.0}]}))
+    assert main(["run", "--instance", str(inst), "--K", "10",
+                 "--penalty", str(pen), "--out", str(trace)]) == 0
+    assert main(["bounds", "--instance", str(inst), "--trace", str(trace),
+                 "--out", str(report)]) == 2
+    assert "mix penalty regimes" in capsys.readouterr().err
+    assert not report.exists()
+
+
+def test_cli_run_refuses_set_caps_beyond_the_objective_domain(tmp_path, capsys):
+    # a multilinear row lives on the unit cube; a box cap of 2 is refused on
+    # load, not by the solver partway through the run
+    inst = tmp_path / "inst.json"
+    assert main(["generate", "--family", "knapsack_single", "--n", "1", "--m", "4",
+                 "--out", str(inst)]) == 0
+    payload = json.loads(inst.read_text())
+    payload["objectives"] = [serialize.objective_to_json(generate(GeneratorSpec(
+        "knapsack_single", 1, 4, 0, {"objective": "multilinear"})).objectives[0])]
+    payload["sets"][2]["bounds"] = [2.0]
+    inst.write_text(json.dumps(payload))
+    assert main(["run", "--instance", str(inst), "--out", str(tmp_path / "t.json")]) == 2
+    assert "exceed row 0's objective domain" in capsys.readouterr().err
 
 
 def test_readme_cli_lines_parse():
