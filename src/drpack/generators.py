@@ -34,8 +34,7 @@ import numpy as np
 
 from .engine import OnlineInstance
 from .feasible import Box, Simplex
-from .objectives import (MAX_GROUND_SET, LinearObjective, MultilinearObjective,
-                         QuadraticObjective, SetFunctionTable)
+from .objectives import LinearObjective, MultilinearObjective, QuadraticObjective, SetFunctionTable
 
 FAMILIES = (
     "quadratic_sec5",
@@ -123,8 +122,6 @@ def generate(spec: GeneratorSpec) -> OnlineInstance:
             ratios = rng.uniform(1.0, math.e, size=m)
             objectives = [LinearObjective(c * ratios)]
         elif kind == "multilinear":
-            if m > MAX_GROUND_SET:
-                raise ValueError("multilinear ground set too large for exact evaluation")
             objectives = [MultilinearObjective(_random_concave_of_modular(rng, m))]
         else:
             raise ValueError(f"unknown knapsack objective {kind!r}")
@@ -132,16 +129,12 @@ def generate(spec: GeneratorSpec) -> OnlineInstance:
         return OnlineInstance(c[None, :], sets, objectives)
 
     if spec.family == "welfare_simplex":
-        if m > MAX_GROUND_SET:
-            raise ValueError("multilinear ground set too large for exact evaluation")
         objectives = [MultilinearObjective(_random_coverage(rng, m)) for _ in range(n)]
         C = np.zeros((n, m))
         sets = [Simplex(n, 1.0) for _ in range(m)]
         return OnlineInstance(C, sets, objectives)
 
     if spec.family == "gap":
-        if m > MAX_GROUND_SET:
-            raise ValueError("multilinear ground set too large for exact evaluation")
         C = rng.uniform(0.1, 0.5, size=(n, m))
         objectives = [
             MultilinearObjective(_random_concave_of_modular(rng, m)) for _ in range(n)

@@ -54,18 +54,17 @@ def finite_k_slack(instance: OnlineInstance, penalties, K: int) -> float:
     first-order gain (g + c G') s is >= 0, since the linear maximizer over a
     set that contains 0 does at least as well as 0. Its Taylor remainder is at
     least -(|d_tt H_i| + c_it^2 |G_i''|) s^2 / 2. The slope d_tt H_i is the
-    constant that `arrival_grad` returns (H[t, t] for a quadratic, 0 for
+    constant that `arrival_slopes` holds (H[t, t] for a quadratic, 0 for
     linear and multilinear rows); |G_i''| grows with the load, so the secant
     of G_i' just past the load cap bounds it below the cap. Summed over the K
     micro-steps of each arrival:
     sum_i sum_t (|d_tt H_i| + c_it^2 |G_i''|) cap_it^2 / (2K).
     """
     caps = instance.row_boxes()
-    zero = np.zeros(instance.m)
     h = 1e-6
     total = 0.0
     for i, (obj, p) in enumerate(zip(instance.objectives, penalties)):
-        slopes = np.abs([obj.arrival_grad(zero, t)[1] for t in range(instance.m)])
+        slopes = np.abs(obj.arrival_slopes)
         g2 = (p.derivative(p.load_cap) - p.derivative(p.load_cap + h)) / h
         total += float(np.sum((slopes + instance.C[i] ** 2 * g2) * caps[i] ** 2))
     return total / (2 * K)

@@ -22,6 +22,7 @@ coordinate t moves, so gradient coordinate t at the committed prefix plus
 x_t in position t equals g0 + slope * x_t. The result depends only on
 prefix_row[:t]: slope is H[t, t] for a quadratic and 0 for linear and
 multilinear objectives (the multilinear coordinate t does not depend on x_t).
+`arrival_slopes` holds that slope for every t.
 """
 
 import math
@@ -63,6 +64,19 @@ def _weights(X) -> np.ndarray:
     return W
 
 
+def check_ground_set(v) -> int:
+    """v as a ground-set size in [0, MAX_GROUND_SET]; call before sizing anything 2^v."""
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or not 0 <= v <= MAX_GROUND_SET:
+        raise ValueError(f"ground set size must be an integer in [0, {MAX_GROUND_SET}], got {v!r}")
+    return int(v)
+
+
+def _membership(v) -> np.ndarray:
+    """(2^v, v) 0/1 matrix whose row S, column j says whether element j is in S."""
+    v = check_ground_set(v)
+    return ((np.arange(2**v)[:, None] >> np.arange(v)) & 1).astype(float)
+
+
 class SetFunctionTable:
     """Set function on a ground set of v elements, stored as a dense 2^v table.
 
@@ -71,55 +85,45 @@ class SetFunctionTable:
     """
 
     def __init__(self, values):
-        values = np.asarray(values, dtype=float)
-        v = int(round(math.log2(len(values))))
-        if 2**v != len(values):
+        v = max(len(values).bit_length() - 1, 0)
+        if len(values) != 1 << v:
             raise ValueError("table length must be a power of two")
-        if v > MAX_GROUND_SET:
-            raise ValueError(f"ground set capped at {MAX_GROUND_SET} elements")
-        _require_finite("set function values", values)
-        if values[0] != 0.0:
+        self.v = check_ground_set(v)
+        self.values = np.asarray(values, dtype=float)
+        _require_finite("set function values", self.values)
+        if self.values[0] != 0.0:
             raise ValueError("set function must be normalized: f(empty)=0")
-        self.v = v
-        self.values = values
 
     def value(self, mask: int) -> float:
         return float(self.values[mask])
 
+    def _gains(self, masks) -> np.ndarray:
+        """f(j | S - j) = f(S + j) - f(S - j) for each bitmask S in masks and
+        each element j, shape masks.shape + (v,)."""
+        S = np.asarray(masks)[..., None]
+        bits = 1 << np.arange(self.v)
+        return self.values[S | bits] - self.values[S & ~bits]
+
     def is_monotone(self, tol: float = 0.0) -> bool:
-        for mask in range(2**self.v):
-            for j in range(self.v):
-                if not mask & (1 << j) and self.values[mask | (1 << j)] < self.values[mask] - tol:
-                    return False
-        return True
+        return bool(np.all(self._gains(np.arange(2**self.v)) >= -tol))
 
     def is_submodular(self, tol: float = 1e-12) -> bool:
-        # pairwise form: f(S+j) - f(S) >= f(S+j+k) - f(S+k) for j,k not in S
-        f = self.values
-        for mask in range(2**self.v):
-            for j in range(self.v):
-                if mask & (1 << j):
-                    continue
-                gain_j = f[mask | (1 << j)] - f[mask]
-                for k in range(self.v):
-                    if k == j or mask & (1 << k):
-                        continue
-                    with_k = mask | (1 << k)
-                    if gain_j + tol < f[with_k | (1 << j)] - f[with_k]:
-                        return False
+        # f(j | S) >= f(j | S + k): the gains of the subsets without bit k
+        # dominate those of the same subsets with it
+        G = self._gains(np.arange(2**self.v))
+        for k in range(self.v):
+            pairs = G.reshape(-1, 2, 1 << k, self.v)
+            if np.any(pairs[:, 0] + tol < pairs[:, 1]):
+                return False
         return True
 
     def total_curvature(self) -> float:
         """1 - min_j f(j | V\\j)/f(j), minimum over elements with f(j) > 0."""
-        full = 2**self.v - 1
-        ratios = []
-        for j in range(self.v):
-            single = self.values[1 << j]
-            if single > 0.0:
-                ratios.append((self.values[full] - self.values[full & ~(1 << j)]) / single)
-        if not ratios:
+        single, top = self._gains(np.array([0, 2**self.v - 1]))
+        counted = single > 0.0
+        if not np.any(counted):
             raise ValueError("all singletons are zero; total curvature undefined")
-        return float(1.0 - min(ratios))
+        return float(1.0 - np.min(top[counted] / single[counted]))
 
     @classmethod
     def cardinality(cls, v: int):
@@ -128,9 +132,7 @@ class SetFunctionTable:
     @classmethod
     def modular(cls, weights):
         weights = np.asarray(weights, dtype=float)
-        v = len(weights)
-        masks = ((np.arange(2**v)[:, None] >> np.arange(v)[None, :]) & 1).astype(bool)
-        return cls(masks @ weights)
+        return cls(_membership(len(weights)) @ weights)
 
     @classmethod
     def coverage(cls, covers, element_weights):
@@ -139,27 +141,17 @@ class SetFunctionTable:
         covers[j] is an iterable of universe indices covered by ground element j.
         """
         element_weights = np.asarray(element_weights, dtype=float)
-        v = len(covers)
-        cover_masks = []
-        for items in covers:
-            bits = 0
-            for u in items:
-                bits |= 1 << int(u)
-            cover_masks.append(bits)
-        vals = np.zeros(2**v)
-        for mask in range(2**v):
-            covered = 0
-            for j in range(v):
-                if mask & (1 << j):
-                    covered |= cover_masks[j]
-            total = 0.0
-            u = 0
-            while covered >> u:
-                if covered & (1 << u):
-                    total += element_weights[u]
-                u += 1
-            vals[mask] = total
-        return cls(vals)
+        universe = len(element_weights)
+        incidence = np.zeros((universe, len(covers)))
+        for j, items in enumerate(covers):
+            # bincount refuses negative indices, the column any beyond the universe
+            incidence[:, j] = np.bincount(np.asarray(items, dtype=int), minlength=universe) > 0
+        covered = incidence @ _membership(len(covers)).T > 0  # [u, S]: S covers item u
+        values = np.zeros(covered.shape[1])
+        for u, weight in enumerate(element_weights):
+            # a running total in universe-index order
+            values[covered[u]] += weight
+        return cls(values)
 
     @classmethod
     def concave_of_modular(cls, weights, coefficients):
@@ -168,9 +160,7 @@ class SetFunctionTable:
         coefficients = np.asarray(coefficients, dtype=float)
         if np.any(weights < 0) or np.any(coefficients < 0):
             raise ValueError("weights and coefficients must be non-negative")
-        v = weights.shape[1]
-        masks = ((np.arange(2**v)[:, None] >> np.arange(v)[None, :]) & 1).astype(float)
-        return cls(np.sqrt(masks @ weights.T) @ coefficients)
+        return cls(np.sqrt(_membership(weights.shape[1]) @ weights.T) @ coefficients)
 
 
 class QuadraticObjective:
@@ -194,6 +184,7 @@ class QuadraticObjective:
         self.h = h
         self.c0 = float(c0)
         self.m = H.shape[0]
+        self.arrival_slopes = np.diag(H).copy()
 
     def _check(self, x):
         x = _as_vector(x, self.m)
@@ -215,7 +206,7 @@ class QuadraticObjective:
 
     def arrival_grad(self, prefix_row, t: int) -> tuple[float, float]:
         x = self._check(prefix_row)
-        return float(self.H[t, :t] @ x[:t] + self.h[t]), float(self.H[t, t])
+        return float(self.H[t, :t] @ x[:t] + self.h[t]), float(self.arrival_slopes[t])
 
     def hessian(self, x) -> np.ndarray:
         return self.H.copy()
@@ -272,6 +263,7 @@ class LinearObjective:
             raise ValueError("linear objective needs non-negative coefficients")
         self.d = d
         self.m = len(d)
+        self.arrival_slopes = np.zeros(self.m)
 
     def value(self, x) -> float:
         return float(self.d @ _as_vector(x, self.m))
@@ -326,6 +318,7 @@ class MultilinearObjective:
     def __init__(self, table: SetFunctionTable):
         self.table = table
         self.m = table.v
+        self.arrival_slopes = np.zeros(self.m)
 
     def _check(self, x):
         x = _as_vector(x, self.m)

@@ -5,7 +5,9 @@ with any other version, or none (or a file that is not a JSON object),
 raises ValueError.
 
 Instance schema (dense row-major arrays; set-function tables keyed by subset
-bitmask as decimal strings):
+bitmask as decimal strings, each key a distinct mask in [0, 2^v) with v an
+integer in [0, MAX_GROUND_SET], checked before the table is allocated; missing
+masks read 0):
 
     {"schema": 1, "n": 2, "m": 3,
      "C": [[...], [...]],
@@ -33,7 +35,8 @@ import numpy as np
 
 from .engine import DualPoint, EngineConfig, OnlineInstance, RunTrace
 from .feasible import Box, Simplex
-from .objectives import LinearObjective, MultilinearObjective, QuadraticObjective, SetFunctionTable
+from .objectives import (LinearObjective, MultilinearObjective, QuadraticObjective,
+                         SetFunctionTable, check_ground_set)
 from .penalties import PenaltyModel, ZeroPenalty
 
 SCHEMA_VERSION = 1
@@ -78,9 +81,12 @@ def objective_from_json(d):
     if d["kind"] == "linear":
         return LinearObjective(d["d"])
     if d["kind"] == "multilinear":
-        values = np.zeros(2 ** d["v"])
-        for mask, v in d["values"].items():
-            values[int(mask)] = v
+        v = check_ground_set(d["v"])
+        masks = [int(key) for key in d["values"]]
+        if len(set(masks)) < len(masks) or not all(0 <= mask < 2**v for mask in masks):
+            raise ValueError(f"table keys must be distinct subset masks in [0, 2^{v})")
+        values = np.zeros(2**v)
+        values[masks] = list(d["values"].values())
         return MultilinearObjective(SetFunctionTable(values))
     raise ValueError(f"unknown objective kind {d['kind']!r}")
 

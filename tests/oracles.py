@@ -10,7 +10,10 @@ and against which the arrival-oracle engine is compared,
 Frank-Wolfe step and against which the once-per-gradient baseline is compared,
 and `reference_budget_linmax`, the one-row greedy loop against which the
 whole-stack knapsack kernel is compared (with `reference_quadratic_bounds`,
-the per-coordinate loops of the quadratic bound methods built on it).
+the per-coordinate loops of the quadratic bound methods built on it), and the
+per-subset loops of `SetFunctionTable` (`reference_is_monotone`,
+`reference_is_submodular`, `reference_total_curvature`, `reference_coverage`),
+against which its array forms are compared.
 `recording` lets a test see each micro-step's direction and vertex without the
 solver keeping them, and `assert_same_microsteps` compares two such logs.
 """
@@ -177,6 +180,75 @@ def reference_quadratic_bounds(obj, chat, box):
         return sup, obj.h - drop, -1.0
     return sup, obj.h - drop, float(np.clip(-rho / (1.0 - rho), -1.0, 0.0))
 
+
+
+# ------------------------------------------------ reference set-function loops
+
+def reference_is_monotone(values, tol: float = 0.0) -> bool:
+    v = int(round(math.log2(len(values))))
+    for mask in range(2**v):
+        for j in range(v):
+            if not mask & (1 << j) and values[mask | (1 << j)] < values[mask] - tol:
+                return False
+    return True
+
+
+def reference_is_submodular(values, tol: float = 1e-12) -> bool:
+    # pairwise form: f(S+j) - f(S) >= f(S+j+k) - f(S+k) for j,k not in S
+    f = values
+    v = int(round(math.log2(len(values))))
+    for mask in range(2**v):
+        for j in range(v):
+            if mask & (1 << j):
+                continue
+            gain_j = f[mask | (1 << j)] - f[mask]
+            for k in range(v):
+                if k == j or mask & (1 << k):
+                    continue
+                with_k = mask | (1 << k)
+                if gain_j + tol < f[with_k | (1 << j)] - f[with_k]:
+                    return False
+    return True
+
+
+def reference_total_curvature(values) -> float:
+    """1 - min_j f(j | V\\j)/f(j), minimum over elements with f(j) > 0."""
+    v = int(round(math.log2(len(values))))
+    full = 2**v - 1
+    ratios = []
+    for j in range(v):
+        single = values[1 << j]
+        if single > 0.0:
+            ratios.append((values[full] - values[full & ~(1 << j)]) / single)
+    if not ratios:
+        raise ValueError("all singletons are zero; total curvature undefined")
+    return float(1.0 - min(ratios))
+
+
+def reference_coverage(covers, element_weights) -> np.ndarray:
+    """Coverage table, one subset at a time, summing weights in universe order."""
+    element_weights = np.asarray(element_weights, dtype=float)
+    v = len(covers)
+    cover_masks = []
+    for items in covers:
+        bits = 0
+        for u in items:
+            bits |= 1 << int(u)
+        cover_masks.append(bits)
+    vals = np.zeros(2**v)
+    for mask in range(2**v):
+        covered = 0
+        for j in range(v):
+            if mask & (1 << j):
+                covered |= cover_masks[j]
+        total = 0.0
+        u = 0
+        while covered >> u:
+            if covered & (1 << u):
+                total += element_weights[u]
+            u += 1
+        vals[mask] = total
+    return vals
 
 # ------------------------------------------------ reference micro-step loop
 

@@ -420,6 +420,44 @@ def test_cli_run_refuses_set_caps_beyond_the_objective_domain(tmp_path, capsys):
     assert "exceed row 0's objective domain" in capsys.readouterr().err
 
 
+
+def _multilinear_instance(v, values) -> dict:
+    return {"schema": 1, "n": 1, "m": 2, "C": [[0.5, 0.5]],
+            "sets": [{"kind": "scaled_box", "bounds": [1.0]}] * 2,
+            "objectives": [{"kind": "multilinear", "v": v, "values": values}]}
+
+
+@pytest.mark.parametrize("v, values, message", [
+    pytest.param(40, {"1": 1.0}, "ground set size", id="v-40"),
+    pytest.param(-1, {}, "ground set size", id="v-negative"),
+    pytest.param(2.5, {}, "ground set size", id="v-fractional"),
+    pytest.param(2, {"1": 1.0, "2": 1.0, "7": 1.0}, "distinct subset masks", id="key-beyond-2^v"),
+    pytest.param(2, {"1": 1.0, "2": 1.0, "-1": 1.5}, "distinct subset masks", id="key-negative"),
+    pytest.param(2, {"1": 1.0, "01": 2.0, "2": 1.0}, "distinct subset masks", id="key-repeated"),
+])
+def test_cli_run_refuses_malformed_multilinear_tables(tmp_path, capsys, v, values, message):
+    # refused on load with an input error, before the 2^v table is allocated
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(_multilinear_instance(v, values)))
+    assert main(["run", "--instance", str(inst), "--out", str(tmp_path / "t.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+
+
+def test_multilinear_table_keys_in_range_load():
+    # missing masks read 0; every mask in [0, 2^v) may appear once
+    obj = serialize.objective_from_json(
+        _multilinear_instance(2, {"0": 0.0, "3": 1.5, "1": 1.0})["objectives"][0])
+    assert obj.table.values.tolist() == [0.0, 1.0, 0.0, 1.5]
+
+
+def test_cli_generate_refuses_a_ground_set_beyond_the_cap(tmp_path, capsys):
+    out = tmp_path / "inst.json"
+    assert main(["generate", "--family", "gap", "--n", "2", "--m", "21",
+                 "--out", str(out)]) == 2
+    assert "ground set size" in capsys.readouterr().err
+    assert not out.exists()
+
 def test_readme_cli_lines_parse():
     # a flag removed from the CLI but left in the README fails here
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

@@ -327,6 +327,13 @@ def test_alpha_lower_quadratic_falls_back_to_minus_one():
     assert QuadraticObjective(H, [1.0, 0.0]).alpha_lower(np.ones(2), np.array([1.0, 0.0])) > -1.0
 
 
+
+def test_arrival_slopes_are_the_arrival_oracle_slopes():
+    for obj in zoo():
+        zero = np.zeros(obj.m)
+        expected = [obj.arrival_grad(zero, t)[1] for t in range(obj.m)]
+        assert obj.arrival_slopes.tolist() == expected
+
 # ----------------------------------------------------------- set functions
 
 def test_total_curvature_examples():
