@@ -36,8 +36,7 @@ def _cmd_run(args) -> int:
     if args.penalty == "auto":
         penalties = auto_penalties(instance, args.epsilon)
     else:
-        payload = serialize.load_json(args.penalty)
-        penalties = [serialize.penalty_from_json(p) for p in payload["penalties"]]
+        penalties = serialize.penalties_from_json(serialize.load_json(args.penalty))
     trace = run_online(instance, penalties, EngineConfig(K=args.K))
     serialize.save_json(args.out, serialize.trace_to_json(trace))
     print(f"ALG={trace.alg:.6g}  P={trace.p_gseq:.6g}  "

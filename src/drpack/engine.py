@@ -38,11 +38,13 @@ def row_loads(C, X) -> np.ndarray:
 
 @dataclass
 class OnlineInstance:
-    """Cost matrix, per-step feasible sets, and per-row objectives."""
+    """Cost matrix, per-step feasible sets, per-row objectives, and the one
+    record of which rows carry a budget (`costed`: costs not all zero)."""
 
     C: np.ndarray
     sets: list
     objectives: list
+    costed: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.C = np.asarray(self.C, dtype=float)
@@ -57,6 +59,7 @@ class OnlineInstance:
             raise ValueError("costs must be finite")
         if np.any(self.C < 0):
             raise ValueError("costs must be non-negative")
+        self.costed = self.C.any(axis=1)
         for s in self.sets:
             if s.n != n:
                 raise ValueError("feasible set dimension must equal the row count")
@@ -150,6 +153,23 @@ def _totals(instance: OnlineInstance, penalties, X) -> tuple[np.ndarray, float, 
     return loads, alg, p_gseq
 
 
+def _misfits(instance: OnlineInstance, penalties) -> list:
+    """One message per costed row whose penalty has no finite load cap; a
+    penalty count other than one per row is refused outright."""
+    if len(penalties) != instance.n:
+        raise ValueError("need one penalty per row")
+    return [f"row {i} carries a budget but its penalty has no load cap"
+            for i in np.flatnonzero(instance.costed)
+            if not math.isfinite(penalties[i].load_cap)]
+
+
+def check_penalties(instance: OnlineInstance, penalties) -> None:
+    """Refuse penalties that do not fit: one per row, a finite load cap on each costed row."""
+    misfits = _misfits(instance, penalties)
+    if misfits:
+        raise ValueError("; ".join(misfits))
+
+
 def run_online(instance: OnlineInstance, penalties, cfg: EngineConfig,
                on_step=None) -> RunTrace:
     """Run the online solver over all arrivals and return the full trace.
@@ -159,13 +179,11 @@ def run_online(instance: OnlineInstance, penalties, cfg: EngineConfig,
     read. Runs are deterministic: identical inputs give bit-identical traces.
     """
     n, m = instance.n, instance.m
-    if len(penalties) != n:
-        raise ValueError("need one penalty per row")
+    check_penalties(instance, penalties)
     K = cfg.K
     omega = np.zeros((n, m))
     loads = [0.0] * n
     caps = [p.load_cap for p in penalties]
-    bounded = [math.isfinite(cap) for cap in caps]
     ratio_min = [math.inf] * n
     ratio_max = [-math.inf] * n
     rows = range(n)
@@ -188,11 +206,11 @@ def run_online(instance: OnlineInstance, penalties, cfg: EngineConfig,
                 d[i] = _entry(g[i], c[i], penalties[i], loads[i])
             v = F_t.linear_argmax(d)
             step = [(i, vi / K) for i, vi in enumerate(v.tolist()) if vi]
-            # scale the step back so that no finite cap is crossed
+            # scale the step back so that no cap is crossed (uncosted rows add no load)
             gamma = 1.0
             for i, s in step:
                 inc = c[i] * s
-                if inc > 0.0 and bounded[i]:
+                if inc > 0.0:
                     gamma = min(gamma, (caps[i] - loads[i]) / inc)
             if gamma != 1.0:
                 gamma = max(0.0, gamma)
@@ -247,32 +265,34 @@ def evaluate_trace(instance: OnlineInstance, penalties,
                    trace: RunTrace) -> TraceEvaluation:
     """Recompute objective, penalized objective, and feasibility from scratch.
 
-    A non-finite load, a column outside its set and a non-finite ALG or P are
-    each reported as a violation.
+    A non-finite load, a load above its cap or a costed row with none, a
+    column outside its set and a non-finite ALG or P are each a violation.
+    An allocation of the wrong shape or a penalty count other than one per
+    row raises ValueError.
     """
     X = np.asarray(trace.allocations, dtype=float)
     if X.shape != (instance.n, instance.m):
         raise ValueError("allocation shape does not match the instance")
+    rows = _misfits(instance, penalties)
     loads, alg, p_gseq = _totals(instance, penalties, X)
-    violations = []
     for i, p in enumerate(penalties):
         if not math.isfinite(loads[i]):
-            violations.append(f"row {i} load {loads[i]} is not finite")
+            rows.append(f"row {i} load {loads[i]} is not finite")
         elif loads[i] > p.load_cap + BUDGET_TOL:
-            violations.append(f"row {i} load {loads[i]:.12g} exceeds cap {p.load_cap}")
+            rows.append(f"row {i} load {loads[i]:.12g} exceeds cap {p.load_cap}")
+    columns = []
     for t, s in enumerate(instance.sets):
         if not s.contains(X[:, t], BUDGET_TOL):
-            violations.append(f"column {t} outside its feasible set")
+            columns.append(f"column {t} outside its feasible set")
+    violations = rows + columns
     for name, value in (("alg", alg), ("p_gseq", p_gseq)):
         if not math.isfinite(value):
             violations.append(f"objective {name} {value} is not finite")
-    budget_ok = not any(v.startswith("row") for v in violations)
-    sets_ok = not any(v.startswith("column") for v in violations)
     return TraceEvaluation(
         alg=alg,
         p_gseq=p_gseq,
         loads=loads,
-        budget_ok=budget_ok,
-        sets_ok=sets_ok,
+        budget_ok=not rows,
+        sets_ok=not columns,
         violations=violations,
     )

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .baselines import offline_fw
-from .engine import EngineConfig, OnlineInstance, RunTrace, run_online
+from .engine import EngineConfig, OnlineInstance, RunTrace, check_penalties, run_online
 from .generators import GeneratorSpec, generate
 # harness no longer calls these two; bench/tracer.py wraps them under these
 # names, so they stay bound here until the bench-mending pass
@@ -30,18 +30,17 @@ VERIFY_FAMILY_DIMS = {
 def auto_penalties(instance: OnlineInstance, epsilon: float = 0.0) -> list:
     """One penalty per row with U/L taken from the instance data.
 
-    Rows whose cost row is identically zero carry no budget and get a no-op
-    penalty (they are excluded from bound checks).
+    Rows without a budget (`instance.costed` is False) get a no-op penalty
+    (they are excluded from bound checks).
     """
     regime = "single_constraint" if instance.n == 1 else "multi_constraint"
     boxes = instance.row_boxes()
     pens = []
     for i in range(instance.n):
-        chat = instance.C[i]
-        if not np.any(chat > 0):
+        if not instance.costed[i]:
             pens.append(ZeroPenalty())
             continue
-        U, L = compute_UL(instance.objectives[i], chat, boxes[i])
+        U, L = compute_UL(instance.objectives[i], instance.C[i], boxes[i])
         pens.append(PenaltyModel(regime, U, L, epsilon))
     return pens
 
@@ -75,28 +74,30 @@ def bound_report(instance: OnlineInstance, penalties, trace: RunTrace,
                  fw_value: float | None = None) -> BoundReport:
     """Assemble the full bound report for a finished run.
 
-    Theoretical side uses the run's penalty parameters and regime (rows that
-    mix regimes are refused) and, per costed row, the objective's certified
-    curvature lower bound `alpha_lower`, so the printed CR is a lower bound
-    (the sampled `estimate_alpha` is optimistic and is not used). Empirical
-    side divides the online value by the offline Frank-Wolfe value at K_off
-    (defaults to the run's K); it is None when that value is at most 1e-12.
+    Theoretical side uses the regime and epsilon that the costed rows'
+    penalties share (a mix is refused, as are penalties that do not fit the
+    instance) and, per costed row, the objective's certified curvature lower
+    bound `alpha_lower`, so the printed CR is a lower bound (the sampled
+    `estimate_alpha` is optimistic and is not used). Empirical side divides
+    the online value by the offline Frank-Wolfe value at K_off (defaults to
+    the run's K); it is None when that value is at most 1e-12.
     `alpha_refinements` is ignored: it is kept for bench/ until the
     bench-mending pass.
     """
-    costed = [i for i, p in enumerate(penalties) if not isinstance(p, ZeroPenalty)]
-    if not costed:
+    check_penalties(instance, penalties)
+    costed = np.flatnonzero(instance.costed)
+    if not costed.size:
         raise ValueError("no budget rows; bound undefined")
-    regimes = {penalties[i].regime for i in costed}
-    if len(regimes) > 1:
-        raise ValueError(f"budget rows mix penalty regimes {sorted(regimes)}")
+    designs = {(penalties[i].regime, penalties[i].epsilon) for i in costed}
+    if len(designs) > 1:
+        raise ValueError(f"budget rows mix penalty regimes or epsilons {sorted(designs)}")
+    [(regime, epsilon)] = designs
     boxes = instance.row_boxes()
     alphas = np.array([instance.objectives[i].alpha_lower(instance.C[i], boxes[i])
                        for i in costed])
     Us = np.array([penalties[i].U for i in costed])
     Ls = np.array([penalties[i].L for i in costed])
-    eps = max(p.epsilon for p in penalties)
-    report = theoretical_cr(regimes.pop(), alphas, Us, Ls, eps)
+    report = theoretical_cr(regime, alphas, Us, Ls, epsilon)
     if fw_value is None:
         _, fw_value = offline_fw(instance, trace.config.K if K_off is None else K_off)
     empirical = trace.alg / fw_value if fw_value > 1e-12 else None
@@ -121,25 +122,22 @@ def verify_bounds(family: str, trials: int = 10, K: int = 1000, seed: int = 0,
     m = dm if m is None else m
     checks = []
     for trial in range(trials):
-        spec = GeneratorSpec(family, n, m, seed + trial)
-        instance = generate(spec)
-        if not np.any(instance.C > 0):
-            checks.append({"seed": spec.seed, "skipped": "no budget rows"})
+        record = _seed_record(GeneratorSpec(family, n, m, seed + trial), K)
+        if record is None:
+            checks.append({"seed": seed + trial, "skipped": "no budget rows"})
             continue
-        penalties = auto_penalties(instance)
-        trace = run_online(instance, penalties, EngineConfig(K=K))
-        report = bound_report(instance, penalties, trace)
+        report = record.bound
         passed = (
             report.empirical_cr is not None
             and report.empirical_cr >= report.theoretical_cr * (1.0 - SLACK_MARGIN)
         )
         checks.append({
-            "seed": spec.seed,
-            "alg": trace.alg,
+            "seed": record.seed,
+            "alg": record.alg,
             "empirical_cr": report.empirical_cr,
             "theoretical_cr": report.theoretical_cr,
             "finite_k_slack": report.finite_k_slack,
-            "max_load": float(np.max(trace.loads)),
+            "max_load": float(np.max(record.budget_usage)),
             "passed": bool(passed),
         })
     ok = all(c.get("passed", True) for c in checks)
@@ -152,10 +150,33 @@ class SeedRecord:
     seed: int
     alg: float
     opt_fw: float
-    competitive_ratio: float
+    competitive_ratio: float | None    # the bound report's empirical CR
     budget_usage: np.ndarray
     bound: BoundReport
-    wall_time: float
+    wall_time: float                   # seconds, generation included
+
+
+def _seed_record(spec: GeneratorSpec, K: int) -> SeedRecord | None:
+    """One seeded instance through the pipeline: generate, build penalties
+    from the instance data, run online with K micro-steps, and divide by the
+    offline Frank-Wolfe value at the same K. None when no row has a budget."""
+    t0 = time.perf_counter()
+    instance = generate(spec)
+    if not instance.costed.any():
+        return None
+    penalties = auto_penalties(instance)
+    trace = run_online(instance, penalties, EngineConfig(K=K))
+    _, fw_value = offline_fw(instance, K)
+    report = bound_report(instance, penalties, trace, fw_value=fw_value)
+    return SeedRecord(
+        seed=spec.seed,
+        alg=trace.alg,
+        opt_fw=fw_value,
+        competitive_ratio=report.empirical_cr,
+        budget_usage=trace.loads.copy(),
+        bound=report,
+        wall_time=time.perf_counter() - t0,
+    )
 
 
 @dataclass
@@ -199,30 +220,10 @@ class ExperimentResult:
 
 def reproduce_table1(n: int, seeds: int = 10, K: int = 50, m: int = 100,
                      base_seed: int = 0) -> ExperimentResult:
-    """Run the random-quadratic benchmark and aggregate CR and budget usage.
-
-    One seeded instance per repetition: generate, build penalties with bounds
-    from the instance data, run online with K inner steps, and divide by the
-    offline Frank-Wolfe value at the same K.
-    """
+    """Run the random-quadratic benchmark and aggregate CR and budget usage,
+    one seeded instance per repetition."""
     if seeds < 1:
         raise ValueError("seeds must be >= 1")
-    result = ExperimentResult(n=n, m=m, K=K)
-    for j in range(seeds):
-        t0 = time.perf_counter()
-        spec = GeneratorSpec("quadratic_sec5", n, m, base_seed + j)
-        instance = generate(spec)
-        penalties = auto_penalties(instance)
-        trace = run_online(instance, penalties, EngineConfig(K=K))
-        _, fw_value = offline_fw(instance, K)
-        report = bound_report(instance, penalties, trace, fw_value=fw_value)
-        result.records.append(SeedRecord(
-            seed=spec.seed,
-            alg=trace.alg,
-            opt_fw=fw_value,
-            competitive_ratio=trace.alg / fw_value,
-            budget_usage=trace.loads.copy(),
-            bound=report,
-            wall_time=time.perf_counter() - t0,
-        ))
-    return result
+    records = [_seed_record(GeneratorSpec("quadratic_sec5", n, m, base_seed + j), K)
+               for j in range(seeds)]
+    return ExperimentResult(n=n, m=m, K=K, records=records)

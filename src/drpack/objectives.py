@@ -13,8 +13,8 @@ coordinate; `grad_range(chat, box) -> (sup, inf)` bounds each gradient
 coordinate over the budget face {0 <= x <= box, chat'x = 1} (sup) and over
 {0 <= x <= box, chat'x <= 1} (inf); `alpha_lower(chat, box)` is a certified
 lower bound, in closed form, on the curvature alpha over that second region;
-`smoothness(box)` bounds the gradient's Lipschitz constant. The box passed to
-all three is already capped.
+`smoothness(box)` bounds the gradient's Lipschitz constant; it is unread, kept
+while bench/tracer.py patches `estimate_smoothness`. All take a capped box.
 
 Each objective also has the arrival oracle used by the online solver,
 `arrival_grad(prefix_row, t) -> (g0, slope)`. While arrival t is open only
@@ -164,17 +164,17 @@ class SetFunctionTable:
 
 
 class QuadraticObjective:
-    """0.5 x'Hx + h'x + c0 with symmetric H; DR-submodular when H <= 0 element-wise."""
+    """0.5 x'Hx + h'x with symmetric H; DR-submodular when H <= 0 element-wise."""
 
     kind = "quadratic"
     domain_cap = math.inf
 
-    def __init__(self, H, h, c0: float = 0.0):
+    def __init__(self, H, h):
         H = np.asarray(H, dtype=float)
         h = np.asarray(h, dtype=float)
         if H.ndim != 2 or H.shape[0] != H.shape[1]:
             raise ValueError("H must be square")
-        for name, values in (("H", H), ("h", h), ("c0", c0)):
+        for name, values in (("H", H), ("h", h)):
             _require_finite(name, values)
         if not np.allclose(H, H.T, atol=1e-12, rtol=0.0):
             raise ValueError("H must be symmetric so that the gradient is Hx + h")
@@ -182,7 +182,6 @@ class QuadraticObjective:
             raise ValueError("h has wrong shape")
         self.H = H
         self.h = h
-        self.c0 = float(c0)
         self.m = H.shape[0]
         self.arrival_slopes = np.diag(H).copy()
 
@@ -194,7 +193,7 @@ class QuadraticObjective:
 
     def value(self, x) -> float:
         x = self._check(x)
-        return float(0.5 * x @ (self.H @ x) + self.h @ x + self.c0)
+        return float(0.5 * x @ (self.H @ x) + self.h @ x)
 
     def grad(self, x) -> np.ndarray:
         x = self._check(x)
@@ -213,7 +212,7 @@ class QuadraticObjective:
 
     def value_many(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
-        return 0.5 * np.einsum("ij,ij->i", X @ self.H, X) + X @ self.h + self.c0
+        return 0.5 * np.einsum("ij,ij->i", X @ self.H, X) + X @ self.h
 
     def grad_many(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
@@ -237,7 +236,7 @@ class QuadraticObjective:
         # -q/(l - q) = -rho/(1 - rho) for rho = q/l. Each (Mu)_j is at most its
         # knapsack maximum T_j, so rho <= max_j T_j/(2 h_j) over free coordinates.
         free = box > 0.0
-        if self.c0 != 0.0 or np.any(self.h[free] <= 0.0):
+        if np.any(self.h[free] <= 0.0):
             return -1.0
         drop = self._knapsack(-self.H, chat, box)[free]
         rho = 0.5 * float(np.max(drop / self.h[free], initial=0.0))
@@ -396,7 +395,7 @@ class MultilinearObjective:
         return float(np.clip(-self.table.total_curvature(), -1.0, 0.0))
 
     def smoothness(self, box) -> float:
-        # sampled, so not certified; it only feeds the finite-K slack report
+        # sampled, so not certified; unread by the package, kept for bench/
         rng = np.random.default_rng(0)
         X = rng.uniform(0.0, box, size=(256, self.m))
         Y = rng.uniform(X, box)
@@ -554,5 +553,5 @@ def estimate_alpha(obj, chat, domain_box=None, *, samples: int = 2048,
 def estimate_smoothness(obj, domain_box) -> float:
     """Upper bound on the gradient Lipschitz constant along signed directions:
     exact for quadratic and linear objectives, sampled for multilinear ones
-    (it only feeds the finite-iteration slack report)."""
+    (unread here; kept while bench/tracer.py patches it in drpack.harness)."""
     return obj.smoothness(np.minimum(np.asarray(domain_box, dtype=float), obj.domain_cap))

@@ -77,10 +77,10 @@ class PenaltyModel:
 
 @dataclass(frozen=True)
 class ZeroPenalty:
-    """No-op penalty for rows without a budget (load never constrains)."""
+    """No-op penalty for rows without a budget (load never constrains); it
+    fits only a row whose costs are all zero."""
 
-    regime: str = "zero"
-    epsilon: float = 0.0
+    regime = "zero"  # a class constant, not a field
 
     @property
     def load_cap(self) -> float:

@@ -2,7 +2,7 @@
 
 Instance and trace files carry a format version, "schema": 1; reading a file
 with any other version, or none (or a file that is not a JSON object),
-raises ValueError.
+raises ValueError, as does a value of the wrong JSON type in any file.
 
 Instance schema (dense row-major arrays; set-function tables keyed by subset
 bitmask as decimal strings, each key a distinct mask in [0, 2^v) with v an
@@ -13,7 +13,7 @@ masks read 0):
      "C": [[...], [...]],
      "sets": [{"kind": "scaled_box", "bounds": [...]} |
               {"kind": "scaled_simplex", "n": 2, "scale": s}, ...],
-     "objectives": [{"kind": "quadratic", "H": [[...]], "h": [...], "c0": 0.0} |
+     "objectives": [{"kind": "quadratic", "H": [[...]], "h": [...]} |
                     {"kind": "linear", "d": [...]} |
                     {"kind": "multilinear", "v": 3, "values": {"0": 0.0, ...}}]}
 
@@ -24,10 +24,14 @@ parameters used. Floats are serialized with full round-trip precision, so
 load(save(x)) is lossless.
 
 The readers ignore keys they do not use, so older schema-1 files, whose sets
-and engine config carried more keys, still load.
+and engine config carried more keys, still load; so does an older quadratic's
+"c0" key when it is 0 (objectives vanish at the origin; other values are
+refused). Penalty file: {"penalties": [{"regime": "zero"} | {"regime": r,
+"U": U, "L": L, "epsilon": e}, ...]}.
 """
 
 import csv
+import functools
 import json
 import math
 
@@ -40,6 +44,17 @@ from .objectives import (LinearObjective, MultilinearObjective, QuadraticObjecti
 from .penalties import PenaltyModel, ZeroPenalty
 
 SCHEMA_VERSION = 1
+
+
+def _reads(read):
+    """Have a file reader raise ValueError for a JSON value of the wrong type."""
+    @functools.wraps(read)
+    def checked(d):
+        try:
+            return read(d)
+        except (TypeError, AttributeError) as exc:
+            raise ValueError(f"malformed file: {exc}") from exc
+    return checked
 
 
 def _check_schema(d) -> None:
@@ -65,8 +80,7 @@ def set_from_json(d):
 
 def objective_to_json(obj) -> dict:
     if obj.kind == "quadratic":
-        return {"kind": "quadratic", "H": obj.H.tolist(), "h": obj.h.tolist(),
-                "c0": obj.c0}
+        return {"kind": "quadratic", "H": obj.H.tolist(), "h": obj.h.tolist()}
     if obj.kind == "linear":
         return {"kind": "linear", "d": obj.d.tolist()}
     if obj.kind == "multilinear":
@@ -77,7 +91,9 @@ def objective_to_json(obj) -> dict:
 
 def objective_from_json(d):
     if d["kind"] == "quadratic":
-        return QuadraticObjective(d["H"], d["h"], d.get("c0", 0.0))
+        if d.get("c0", 0) != 0:
+            raise ValueError("a quadratic's c0 must be 0: objectives vanish at the origin")
+        return QuadraticObjective(d["H"], d["h"])
     if d["kind"] == "linear":
         return LinearObjective(d["d"])
     if d["kind"] == "multilinear":
@@ -102,6 +118,7 @@ def instance_to_json(instance: OnlineInstance) -> dict:
     }
 
 
+@_reads
 def instance_from_json(d) -> OnlineInstance:
     _check_schema(d)
     return OnlineInstance(
@@ -123,6 +140,11 @@ def penalty_from_json(d):
     return PenaltyModel(d["regime"], d["U"], d["L"], d.get("epsilon", 0.0))
 
 
+@_reads
+def penalties_from_json(d) -> list:
+    return [penalty_from_json(p) for p in d["penalties"]]
+
+
 def _extremes_to_json(values) -> list:
     return [v if math.isfinite(v) else None for v in values.tolist()]
 
@@ -142,6 +164,7 @@ def trace_to_json(trace: RunTrace) -> dict:
     }
 
 
+@_reads
 def trace_from_json(d) -> RunTrace:
     _check_schema(d)
     return RunTrace(

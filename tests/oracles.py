@@ -173,7 +173,7 @@ def reference_quadratic_bounds(obj, chat, box):
             x = np.zeros(m)
         sup[t] = obj.H[t] @ x + obj.h[t]
     free = box > 0.0
-    if obj.c0 != 0.0 or np.any(obj.h[free] <= 0.0):
+    if np.any(obj.h[free] <= 0.0):
         return sup, obj.h - drop, -1.0
     rho = 0.5 * float(np.max(drop[free] / obj.h[free], initial=0.0))
     if not rho < 0.5:

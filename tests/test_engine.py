@@ -101,6 +101,30 @@ def test_penalty_count_mismatch():
         run_online(two_step_instance(), [], EngineConfig(K=5))
 
 
+def test_costed_marks_the_rows_that_carry_a_budget():
+    inst = OnlineInstance(np.array([[0.5, 0.0], [0.0, 0.0], [0.0, 2.0]]),
+                          [Simplex(3, 1.0)] * 2, [LinearObjective([1.0, 1.0])] * 3)
+    assert inst.costed.tolist() == [True, False, True]
+    pens = auto_penalties(inst)
+    assert [isinstance(p, ZeroPenalty) for p in pens] == [False, True, False]
+
+
+def test_run_refuses_a_costed_row_without_a_load_cap():
+    # a no-op penalty on a row with costs would let its load grow unchecked
+    with pytest.raises(ValueError, match="row 0 carries a budget but its penalty has no load cap"):
+        run_online(two_step_instance(), [ZeroPenalty()], EngineConfig(K=5))
+
+
+def test_uncosted_rows_never_scale_a_step_back():
+    # an uncosted row's load stays 0, so its cap, finite or not, never binds
+    inst = generate(GeneratorSpec("welfare_simplex", 3, 6, seed=2))
+    free = run_online(inst, auto_penalties(inst), EngineConfig(K=20))
+    capped = run_online(inst, [PenaltyModel("multi_constraint", 2.0, 1.0)] * 3,
+                        EngineConfig(K=20))
+    assert np.array_equal(free.allocations, capped.allocations)
+    assert free.alg == capped.alg > 0.0
+
+
 # ----------------------------------------------------------------- invariants
 
 def test_online_discipline_instrumented():
@@ -319,6 +343,34 @@ def test_evaluate_flags_non_finite_load():
     ev = evaluate_trace(inst, pens, trace)
     assert not ev.budget_ok
     assert any("row 0" in v for v in ev.violations)
+
+
+def test_evaluate_flags_a_costed_row_without_a_load_cap():
+    inst = two_step_instance()
+    trace = run_online(inst, [PenaltyModel("single_constraint", 2.0, 1.0)], EngineConfig(K=2))
+    ev = evaluate_trace(inst, [ZeroPenalty()], trace)
+    assert not ev.budget_ok and ev.sets_ok
+    assert ev.violations == ["row 0 carries a budget but its penalty has no load cap"]
+
+
+def test_evaluate_refuses_a_penalty_count_mismatch():
+    inst = two_step_instance()
+    pens = [PenaltyModel("single_constraint", 2.0, 1.0)]
+    trace = run_online(inst, pens, EngineConfig(K=2))
+    for wrong in ([], pens * 2):
+        with pytest.raises(ValueError, match="one penalty per row"):
+            evaluate_trace(inst, wrong, trace)
+
+
+def test_evaluate_sorts_violations_by_kind():
+    # a column outside its box under a load within the relaxed cap of 3
+    inst = two_step_instance()
+    pens = [PenaltyModel("single_constraint", 2.0, 1.0, epsilon=2.0)]
+    trace = run_online(inst, pens, EngineConfig(K=2))
+    trace.allocations = np.array([[1.5, 0.0]])
+    ev = evaluate_trace(inst, pens, trace)
+    assert ev.budget_ok and not ev.sets_ok
+    assert ev.violations == ["column 0 outside its feasible set"]
 
 
 def test_evaluate_flags_non_finite_objective_value():

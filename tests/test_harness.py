@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import shlex
 from pathlib import Path
@@ -106,6 +107,30 @@ def test_bound_report_takes_the_regime_from_the_penalties():
     assert report.theoretical_cr == pytest.approx(0.4518, abs=1e-4)
 
 
+def test_bound_report_reads_epsilon_from_the_costed_rows_only():
+    # gap 3x7 with row 2's costs zeroed: a relaxed penalty on that uncosted
+    # row must not lift the bound of the two budget rows
+    gap = generate(GeneratorSpec("gap", 3, 7, 0))
+    inst = OnlineInstance(gap.C * [[1.0], [1.0], [0.0]], gap.sets, gap.objectives)
+    pens = auto_penalties(inst)
+    base = bound_report(inst, pens, run_online(inst, pens, EngineConfig(K=50)))
+    assert base.theoretical_cr == pytest.approx(0.1297, abs=1e-4)
+    relaxed = pens[:2] + [dataclasses.replace(pens[0], epsilon=0.5)]
+    report = bound_report(inst, relaxed, run_online(inst, relaxed, EngineConfig(K=50)))
+    assert report.theoretical_cr == base.theoretical_cr and report.epsilon == 0.0
+
+
+def test_bound_report_refuses_mixed_epsilons():
+    # a bound for epsilon 0.5 on both rows would overstate a run whose row 0
+    # is held to load 1
+    inst = generate(GeneratorSpec("adwords", 2, 20, 0))
+    auto = auto_penalties(inst)
+    pens = [auto[0], dataclasses.replace(auto[1], epsilon=0.5)]
+    trace = run_online(inst, pens, EngineConfig(K=50))
+    with pytest.raises(ValueError, match="or epsilons"):
+        bound_report(inst, pens, trace)
+
+
 def test_finite_k_slack_scales():
     inst = generate(GeneratorSpec("quadratic_sec5", 1, 10, seed=0))
     pens = auto_penalties(inst)
@@ -124,6 +149,23 @@ def test_reproduce_table_smoke():
     rows = res.rows()
     assert rows[-2][0] == "mean" and rows[-1][0] == "std"
     assert len(res.header()) == len(rows[0])
+
+
+def test_sweeps_share_one_seed_pipeline():
+    # one quadratic_sec5 spec through both sweeps gives the same record, and
+    # the record's ratio is its bound report's empirical CR
+    rec = reproduce_table1(n=1, seeds=1, K=50, m=20, base_seed=3).records[0]
+    assert rec.competitive_ratio == rec.bound.empirical_cr
+    [check] = verify_bounds("quadratic_sec5", trials=1, K=50, seed=3, n=1, m=20)["checks"]
+    assert check == {
+        "seed": 3,
+        "alg": rec.alg,
+        "empirical_cr": rec.competitive_ratio,
+        "theoretical_cr": rec.bound.theoretical_cr,
+        "finite_k_slack": rec.bound.finite_k_slack,
+        "max_load": float(np.max(rec.budget_usage)),
+        "passed": True,
+    }
 
 
 def test_reproduce_table_deterministic():
@@ -405,6 +447,53 @@ def test_cli_bounds_refuses_mixed_regimes(tmp_path, capsys):
     assert not report.exists()
 
 
+def test_cli_bounds_refuses_mixed_epsilons(tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    pen = tmp_path / "pen.json"
+    trace = tmp_path / "trace.json"
+    report = tmp_path / "report.json"
+    assert main(["generate", "--family", "adwords", "--n", "2", "--m", "20",
+                 "--out", str(inst)]) == 0
+    pen.write_text(json.dumps({"penalties": [
+        {"regime": "multi_constraint", "U": 1.0, "L": 0.999, "epsilon": 0.0},
+        {"regime": "multi_constraint", "U": 1.0, "L": 0.999, "epsilon": 0.5}]}))
+    assert main(["run", "--instance", str(inst), "--penalty", str(pen),
+                 "--out", str(trace)]) == 0
+    assert main(["bounds", "--instance", str(inst), "--trace", str(trace),
+                 "--out", str(report)]) == 2
+    assert "mix penalty regimes or epsilons" in capsys.readouterr().err
+    assert not report.exists()
+
+
+def test_cli_refuses_a_zero_penalty_on_a_budget_row(tmp_path, capsys):
+    # a no-op penalty on adwords row 0 once let its load reach 11 against a
+    # budget of 1, and `bounds` called that trace feasible
+    inst = tmp_path / "inst.json"
+    pen = tmp_path / "pen.json"
+    trace = tmp_path / "trace.json"
+    report = tmp_path / "report.json"
+    assert main(["generate", "--family", "adwords", "--n", "2", "--m", "20",
+                 "--out", str(inst)]) == 0
+    pen.write_text(json.dumps({"penalties": [
+        {"regime": "zero"}, {"regime": "multi_constraint", "U": 1.0, "L": 0.999}]}))
+    assert main(["run", "--instance", str(inst), "--penalty", str(pen),
+                 "--out", str(trace)]) == 2
+    assert "row 0 carries a budget but its penalty has no load cap" in capsys.readouterr().err
+    assert not trace.exists()
+    # a trace file that carries such a penalty, with row 0 taking every column
+    adwords = serialize.instance_from_json(serialize.load_json(inst))
+    pens = serialize.penalties_from_json(json.loads(pen.read_text()))
+    auto = run_online(adwords, auto_penalties(adwords), EngineConfig(K=5))
+    X = np.zeros_like(auto.allocations)
+    X[0] = [s.scale for s in adwords.sets]
+    serialize.save_json(trace, serialize.trace_to_json(
+        dataclasses.replace(auto, allocations=X, penalties=pens)))
+    assert main(["bounds", "--instance", str(inst), "--trace", str(trace),
+                 "--out", str(report)]) != 0
+    assert "no load cap" in capsys.readouterr().err
+    assert not report.exists()
+
+
 def test_cli_run_refuses_set_caps_beyond_the_objective_domain(tmp_path, capsys):
     # a multilinear row lives on the unit cube; a box cap of 2 is refused on
     # load, not by the solver partway through the run
@@ -442,6 +531,49 @@ def test_cli_run_refuses_malformed_multilinear_tables(tmp_path, capsys, v, value
     assert main(["run", "--instance", str(inst), "--out", str(tmp_path / "t.json")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err
+
+
+def _quadratic_instance(**objective) -> dict:
+    return {"schema": 1, "n": 1, "m": 1, "C": [[0.5]],
+            "sets": [{"kind": "scaled_box", "bounds": [1.0]}],
+            "objectives": [{"kind": "quadratic", "H": [[-1.0]], "h": [2.0], **objective}]}
+
+
+@pytest.mark.parametrize("instance, penalty", [
+    pytest.param(_multilinear_instance(1, [0.0, 1.0]), None, id="values-list"),
+    pytest.param({**_quadratic_instance(), "sets": 5}, None, id="sets-number"),
+    pytest.param({**_quadratic_instance(), "objectives": [5, 5]}, None, id="objectives-numbers"),
+    pytest.param({**_quadratic_instance(), "sets": ["box"]}, None, id="set-string"),
+    pytest.param({**_quadratic_instance(), "sets": [
+        {"kind": "scaled_simplex", "n": "2", "scale": 1.0}]}, None, id="simplex-n-string"),
+    pytest.param(_quadratic_instance(), {"penalties": [
+        {"regime": "single_constraint", "U": "3", "L": 1.0}]}, id="U-string"),
+    pytest.param(_quadratic_instance(), [
+        {"regime": "single_constraint", "U": 3.0, "L": 1.0}], id="penalty-file-list"),
+])
+def test_cli_run_refuses_values_of_the_wrong_json_type(tmp_path, capsys, instance, penalty):
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(instance))
+    argv = ["run", "--instance", str(inst), "--out", str(tmp_path / "t.json")]
+    if penalty is not None:
+        (tmp_path / "pen.json").write_text(json.dumps(penalty))
+        argv += ["--penalty", str(tmp_path / "pen.json")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("c0, code", [(None, 0), (0, 0), (0.0, 0), (0.5, 2), (-1.0, 2)])
+def test_cli_run_reads_c0_only_as_zero(tmp_path, capsys, c0, code):
+    # files written while quadratics carried a constant term still load when it is 0
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(_quadratic_instance(**({} if c0 is None else {"c0": c0}))))
+    assert main(["run", "--instance", str(inst), "--out", str(tmp_path / "t.json")]) == code
+    if code:
+        assert "c0 must be 0" in capsys.readouterr().err
+    else:
+        obj = serialize.instance_from_json(json.loads(inst.read_text())).objectives[0]
+        assert "c0" not in serialize.objective_to_json(obj)
 
 
 def test_multilinear_table_keys_in_range_load():

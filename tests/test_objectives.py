@@ -73,8 +73,6 @@ def test_constructors_reject_non_finite_data():
             QuadraticObjective([[-1.0]], [bad])
         with pytest.raises(ValueError, match="finite"):
             QuadraticObjective([[bad]], [1.0])
-        with pytest.raises(ValueError, match="finite"):
-            QuadraticObjective([[-1.0]], [1.0], c0=bad)
 
 
 def random_multilinear(rng, v):
@@ -318,10 +316,16 @@ def test_alpha_lower_one_dim_quadratics_are_exact():
     assert estimate_alpha(q, [1.0]).alpha == pytest.approx(-1.0 / 3.0, abs=1e-9)
 
 
+def test_quadratic_has_no_constant_term():
+    # every objective vanishes at the origin, so there is no c0 to set
+    with pytest.raises(TypeError):
+        QuadraticObjective([[-1.0]], [1.0], c0=0.5)
+    assert QuadraticObjective([[-1.0]], [1.0]).value([0.0]) == 0.0
+
+
 def test_alpha_lower_quadratic_falls_back_to_minus_one():
     H = [[-0.1, 0.0], [0.0, -0.1]]
     assert QuadraticObjective(H, [1.0, 1.0]).alpha_lower(np.ones(2), np.ones(2)) > -1.0
-    assert QuadraticObjective(H, [1.0, 1.0], c0=0.5).alpha_lower(np.ones(2), np.ones(2)) == -1.0
     assert QuadraticObjective(H, [1.0, 0.0]).alpha_lower(np.ones(2), np.ones(2)) == -1.0
     # a coordinate the box pins at 0 never moves, so its h does not matter
     assert QuadraticObjective(H, [1.0, 0.0]).alpha_lower(np.ones(2), np.array([1.0, 0.0])) > -1.0

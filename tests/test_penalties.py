@@ -122,6 +122,11 @@ def test_zero_penalty():
     z = ZeroPenalty()
     assert z.value(3.0) == 0.0 and z.derivative(3.0) == 0.0
     assert math.isinf(z.load_cap)
+    # no settable regime or epsilon: a row without a budget has neither
+    assert z.regime == "zero" and not hasattr(z, "epsilon")
+    for kwargs in ({"epsilon": 0.5}, {"regime": "multi_constraint"}):
+        with pytest.raises(TypeError):
+            ZeroPenalty(**kwargs)
 
 
 # ------------------------------------------------------------------- bounds
